@@ -17,6 +17,9 @@
 #   obs-no-trace   mrtweb-obs with the `trace` feature off (no-op path)
 #   proxy-fallback mrtweb-proxy with the `event` feature off (blocking
 #                  engine only, unsafe code forbidden crate-wide)
+#   perfbench      the repository benchmark (its own workspace under
+#                  perfbench/) builds and passes its unit tests against
+#                  the current crate APIs
 #   faults         fault-injection matrix (every faultrun scenario x seeds)
 #   proxy-smoke    event-engine serve + loadgen over loopback,
 #                  closed sweep up to C=1024 -> BENCH_proxy.json
@@ -40,7 +43,7 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
-ALL_STAGES="fmt analysis clippy tier1 tests obs-no-trace proxy-fallback faults proxy-smoke broadcast edge bench bench-gate miri tsan"
+ALL_STAGES="fmt analysis clippy tier1 tests obs-no-trace proxy-fallback perfbench faults proxy-smoke broadcast edge bench bench-gate miri tsan"
 
 run_bench=1
 quick=0
@@ -133,6 +136,12 @@ stage_obs_no_trace() {
 stage_proxy_fallback() {
   echo "==> mrtweb-proxy fallback build (--no-default-features: blocking engine only)"
   cargo test -q -p mrtweb-proxy --no-default-features
+}
+
+stage_perfbench() {
+  echo "==> perfbench: release build + unit tests (own workspace, path deps on the crates)"
+  cargo build --release --offline --manifest-path perfbench/Cargo.toml
+  cargo test -q --offline --manifest-path perfbench/Cargo.toml
 }
 
 stage_faults() {
@@ -317,6 +326,7 @@ for stage in $stages; do
     tests) stage_tests ;;
     obs-no-trace) stage_obs_no_trace ;;
     proxy-fallback) stage_proxy_fallback ;;
+    perfbench) stage_perfbench ;;
     faults) stage_faults ;;
     proxy-smoke) stage_proxy_smoke ;;
     broadcast) stage_broadcast ;;

@@ -1,6 +1,6 @@
 //! Codec throughput at the paper's parameters (M = 40, N = 60,
-//! 256-byte packets — a 10240-byte document) plus a packet-size sweep
-//! from 256 B to 64 KiB.
+//! 256-byte packets — a 10240-byte document), a packet-size sweep from
+//! 256 B to 64 KiB, and one decode at a weak-hop client's shape.
 //!
 //! Besides the live kernels, the harness times the *seed scalar path*
 //! (per-row allocation + log/exp `mul_acc_scalar`, exactly the shape of
@@ -91,6 +91,27 @@ fn benches(c: &mut Criterion) {
     g.bench_function("decode_20_erasures_uncached", |b| {
         b.iter(|| codec.decode_uncached(black_box(&mixed), 10240).unwrap());
     });
+
+    // A weak-hop client's decode: a 10 KB document in 64-byte packets
+    // at γ = 1.1 (M = 165, N = 182) with 14 clear packets lost, spread
+    // every 12th. Only those 14 rows need arithmetic.
+    let lossy = Codec::new(165, 182, 64).unwrap();
+    let lossy_doc: Vec<u8> = (0..lossy.capacity()).map(|i| (i * 97 + 5) as u8).collect();
+    let lossy_cooked = lossy.encode(&lossy_doc);
+    let lossy_survivors: Vec<(usize, Vec<u8>)> = (0..182)
+        .filter(|i| i % 12 != 0 || *i >= 165)
+        .take(165)
+        .map(|i| (i, lossy_cooked[i].clone()))
+        .collect();
+    g.throughput(Throughput::Bytes(lossy_doc.len() as u64));
+    g.bench_function("decode_lossy_shape", |b| {
+        b.iter(|| {
+            lossy
+                .decode(black_box(&lossy_survivors), lossy_doc.len())
+                .unwrap()
+        });
+    });
+    g.throughput(Throughput::Bytes(10240));
 
     // Setup-cost sweep for the scaling-exponent fit. N = 1.5·M capped
     // at GF(2⁸)'s 256 cooked-packet ceiling (M = 200 → N = 256).

@@ -1,5 +1,5 @@
-//! Cauchy-matrix codec construction: O(M·N) generator setup and the
-//! closed-form O(M²) decode inverse.
+//! Cauchy-matrix codec construction: O(M·N) generator setup and
+//! closed-form O(r·M) recovery rows for the `r` lost clear packets.
 //!
 //! The seed codec built its systematic generator by inverting the top
 //! `M × M` block of a Vandermonde matrix (Gauss–Jordan, `O(M³)`) and
@@ -33,15 +33,16 @@
 //! `r` is the number of *parity* survivors, not `M`.
 //!
 //! A real survivor set mixes clear-text rows (identity rows of `G`) with
-//! parity rows. [`decode_inverse`] exploits that structure instead of
-//! inverting the dense `M × M` submatrix: clear survivors pin their raw
-//! packet directly (a permutation entry), and only the `r` missing raw
-//! packets are solved through the `r × r` sub-Cauchy system. The
-//! back-substitution of the clear columns — naïvely an `O(r²·k)` matrix
-//! product — also collapses, because the Cauchy inverse is *separable*:
-//! a partial-fraction identity reduces each clear-column coefficient to
-//! closed form too (see the comments in the function body), leaving the
-//! entire `M × M` decode matrix at `O(r·(r + k)) ⊆ O(M²)` where the
+//! parity rows. A clear survivor *is* its raw packet, so its row of the
+//! survivor inverse is a unit vector and decoding it is a copy. Only the
+//! `r` raw packets no clear survivor carries need arithmetic, and
+//! [`recovery_rows`] returns exactly those `r` rows of the inverse
+//! (`r × M` coefficients), solved through the `r × r` sub-Cauchy system.
+//! The back-substitution of the clear columns — naïvely an `O(r²·k)`
+//! matrix product — also collapses, because the Cauchy inverse is
+//! *separable*: a partial-fraction identity reduces each clear-column
+//! coefficient to closed form too (see the comments in the function
+//! body), leaving the whole table at `O(r·(r + k)) = O(r·M)` where the
 //! seed paid `O(M³)` per cold survivor set.
 //!
 //! Why any `M` rows of `G` stay invertible (the IDA contract): choose
@@ -55,7 +56,7 @@
 //! it is the oracle the `prop_cauchy` property suite checks every one of
 //! these shortcuts against.
 
-use crate::gf256::Gf256;
+use crate::gf256::{Gf256, EXP, LOG};
 use crate::matrix::Matrix;
 use crate::Error;
 
@@ -89,15 +90,61 @@ pub fn systematic_generator(raw: usize, cooked: usize) -> Result<Matrix, Error> 
     }))
 }
 
-/// Computes the decode matrix `B` for a survivor set: `B · G[indices] = I`,
-/// so `raw_j = Σ_k B[j][k] · survivor_k`.
+/// The rows of a survivor set's decode inverse that need arithmetic:
+/// one per raw packet no clear survivor carries.
+///
+/// Each row rebuilds one missing raw packet as `Σ_k c_k · survivor_k`
+/// over the survivors in the order [`recovery_rows`] was given them.
+/// Every other raw packet is a clear survivor, copied as-is.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Recovery {
+    /// Survivor count `M`: the length of every coefficient row.
+    raw: usize,
+    /// Raw indices absent from the survivor set, ascending.
+    missing: Vec<usize>,
+    /// Row-major `r × M` coefficient table, `r = missing.len()`.
+    coeffs: Vec<Gf256>,
+}
+
+impl Recovery {
+    /// `(raw index, coefficient row)` for each missing raw packet, in
+    /// ascending raw-index order.
+    pub fn rows(&self) -> impl Iterator<Item = (usize, &[Gf256])> {
+        self.missing
+            .iter()
+            .copied()
+            .zip(self.coeffs.chunks_exact(self.raw))
+    }
+}
+
+/// Discrete log of a nonzero element: `x = g^log(x)`, `0 ≤ log(x) < 255`.
+fn log(x: Gf256) -> usize {
+    debug_assert!(!x.is_zero());
+    usize::from(LOG[usize::from(x.value())])
+}
+
+/// `g^e` for `e < 510` (the exponent table repeats its cycle once).
+fn exp(e: usize) -> Gf256 {
+    Gf256::new(EXP[e])
+}
+
+/// `e mod 255` for `e < 510`.
+fn mod255(e: usize) -> usize {
+    if e >= 255 {
+        e - 255
+    } else {
+        e
+    }
+}
+
+/// Computes the recovery rows for a survivor set: the rows of `B`, where
+/// `B · G[indices] = I`, for the raw packets no clear survivor carries.
 ///
 /// `indices` are the cooked indices of the `raw` chosen survivors, in
 /// the order their payloads will be supplied. The cost is
-/// `O(M + r·(r + k))` where `r` counts parity survivors and `k` clear
-/// survivors — quadratic at worst, and linear in `M` for the few-loss
-/// patterns real sessions see, which is what makes cache-cold decodes
-/// affordable.
+/// `O(M + r·(r + k)) = O(r·M)` where `r` counts parity survivors and `k`
+/// clear survivors — linear in `M` for the few-loss patterns real
+/// sessions see, which is what makes cache-cold decodes affordable.
 ///
 /// # Errors
 ///
@@ -108,7 +155,7 @@ pub fn systematic_generator(raw: usize, cooked: usize) -> Result<Matrix, Error> 
 // The single-letter names mirror the u/v/f/g/S notation in the math
 // comments above each block; longer names would decouple code from proof.
 #[allow(clippy::many_single_char_names)]
-pub fn decode_inverse(raw: usize, cooked: usize, indices: &[usize]) -> Result<Matrix, Error> {
+pub fn recovery_rows(raw: usize, cooked: usize, indices: &[usize]) -> Result<Recovery, Error> {
     if raw == 0 || cooked < raw || cooked > 256 {
         return Err(Error::InvalidParameters { raw, cooked });
     }
@@ -126,35 +173,24 @@ pub fn decode_inverse(raw: usize, cooked: usize, indices: &[usize]) -> Result<Ma
         seen[idx] = true;
     }
 
-    // Partition the survivors: clear rows pin their raw packet directly;
-    // parity rows jointly determine the missing ones.
-    let mut have_raw = vec![false; raw];
-    // Survivor-vector position of each clear row's raw index.
-    let mut clear_pos = vec![usize::MAX; raw];
-    // (cooked index, survivor-vector position) of each parity survivor.
-    let mut parity: Vec<(usize, usize)> = Vec::new();
+    // Partition the survivors into (point, survivor-vector position)
+    // pairs: clear rows pin their raw packet directly; parity rows
+    // jointly determine the missing ones.
+    let mut clear: Vec<(Gf256, usize)> = Vec::with_capacity(raw);
+    let mut parity: Vec<(Gf256, usize)> = Vec::new();
     for (pos, &idx) in indices.iter().enumerate() {
+        let point = Gf256::new(idx as u8);
         if idx < raw {
-            have_raw[idx] = true;
-            clear_pos[idx] = pos;
+            clear.push((point, pos));
         } else {
-            parity.push((idx, pos));
+            parity.push((point, pos));
         }
     }
-    let missing: Vec<usize> = (0..raw).filter(|&j| !have_raw[j]).collect();
+    let missing: Vec<usize> = (0..raw).filter(|&j| !seen[j]).collect();
     // |missing| = raw − #clear = #parity because indices are distinct.
     let r = missing.len();
     debug_assert_eq!(r, parity.len());
-
-    let mut b = Matrix::zero(raw, raw);
-    for j in 0..raw {
-        if have_raw[j] {
-            b.set(j, clear_pos[j], Gf256::ONE);
-        }
-    }
-    if r == 0 {
-        return Ok(b);
-    }
+    let mut coeffs = vec![Gf256::ZERO; r * raw];
 
     // The r × r sub-Cauchy system: u_a = parity cooked index, v_b =
     // missing raw index, A[a][b] = 1/(u_a + v_b). Its closed-form
@@ -166,30 +202,34 @@ pub fn decode_inverse(raw: usize, cooked: usize, indices: &[usize]) -> Result<Ma
     //
     // with the (−1)^{a+b} signs gone in characteristic 2. The product
     // families cost O(r²); every entry after that is O(1).
-    let u: Vec<Gf256> = parity
-        .iter()
-        .map(|&(idx, _)| Gf256::new(idx as u8))
-        .collect();
+    //
+    // Every factor and divisor below is a sum of two distinct points, so
+    // never zero, and the work runs in the log domain: products and
+    // quotients are sums and differences of discrete logs mod 255, with
+    // no zero checks and no multiply on any dependency chain.
+    let u: Vec<Gf256> = parity.iter().map(|&(point, _)| point).collect();
     let v: Vec<Gf256> = missing.iter().map(|&j| Gf256::new(j as u8)).collect();
-    let mut f = vec![Gf256::ONE; r];
-    let mut g = vec![Gf256::ONE; r];
+    // log f(a) and log g(b), reduced mod 255.
+    let mut lf = vec![0usize; r];
+    let mut lg = vec![0usize; r];
     for a in 0..r {
-        let mut num_u = Gf256::ONE; // Π_k (u_a + v_k)
-        let mut den_u = Gf256::ONE; // Π_{k≠a} (u_a + u_k)
-        let mut num_v = Gf256::ONE; // Π_k (u_k + v_a)
-        let mut den_v = Gf256::ONE; // Π_{k≠a} (v_a + v_k)
+        let mut num_u = 0; // log Π_k (u_a + v_k)
+        let mut den_u = 0; // log Π_{k≠a} (u_a + u_k)
+        let mut num_v = 0; // log Π_k (u_k + v_a)
+        let mut den_v = 0; // log Π_{k≠a} (v_a + v_k)
         for k in 0..r {
-            num_u *= u[a] + v[k];
-            num_v *= u[k] + v[a];
+            num_u += log(u[a] + v[k]);
+            num_v += log(u[k] + v[a]);
             if k != a {
                 // u (parity cooked indices) and v (raw indices) are each
                 // internally distinct, so neither factor is zero.
-                den_u *= u[a] + u[k];
-                den_v *= v[a] + v[k];
+                den_u += log(u[a] + u[k]);
+                den_v += log(v[a] + v[k]);
             }
         }
-        f[a] = num_u / den_u;
-        g[a] = num_v / den_v;
+        // Each sum is below 255·r, so the difference stays non-negative.
+        lf[a] = (num_u + 255 * r - den_u) % 255;
+        lg[a] = (num_v + 255 * r - den_v) % 255;
     }
 
     // Parity survivor a satisfies
@@ -205,37 +245,33 @@ pub fn decode_inverse(raw: usize, cooked: usize, indices: &[usize]) -> Result<Ma
     //   Σ_a D[b][a]/(u_a + p)    = g(b)·(S(v_b) + S(p)) / (v_b + p)
     // (v_b ≠ p: one raw index is missing, the other present), so the
     // clear block costs O(r·k) instead of the O(r²·k) matrix product —
-    // the whole inverse is O(r·(r + k)) ⊆ O(M²).
-    let mut s_v = vec![Gf256::ZERO; r]; // S at the missing raw points
-    for b_i in 0..r {
-        for a in 0..r {
-            s_v[b_i] += f[a] / (u[a] + v[b_i]);
-        }
-    }
-    // (point, survivor position, S(point)) per clear survivor.
-    let clear: Vec<(Gf256, usize, Gf256)> = clear_pos
-        .iter()
-        .enumerate()
-        .filter(|&(_, &pos)| pos != usize::MAX)
-        .map(|(p, &pos)| {
-            let y = Gf256::new(p as u8);
-            let mut s = Gf256::ZERO;
-            for a in 0..r {
-                s += f[a] / (u[a] + y);
-            }
-            (y, pos, s)
+    // the whole table is O(r·(r + k)) = O(r·M).
+    let s = |w: Gf256| -> Gf256 {
+        u.iter().zip(&lf).fold(Gf256::ZERO, |acc, (&u_a, &lf_a)| {
+            acc + exp(lf_a + 255 - log(u_a + w))
         })
-        .collect();
-    for b_i in 0..r {
-        let row = missing[b_i];
-        for a in 0..r {
-            b.set(row, parity[a].1, f[a] * g[b_i] / (u[a] + v[b_i]));
+    };
+    let s_v: Vec<Gf256> = v.iter().map(|&v_b| s(v_b)).collect();
+    // S(point) per clear survivor, aligned with `clear`.
+    let s_clear: Vec<Gf256> = clear.iter().map(|&(y, _)| s(y)).collect();
+    for (b_i, row) in coeffs.chunks_exact_mut(raw).enumerate() {
+        for (a, &(_, pos)) in parity.iter().enumerate() {
+            // D[b][a] = f(a)·g(b)/(u_a + v_b)
+            row[pos] = exp(mod255(lf[a] + lg[b_i]) + 255 - log(u[a] + v[b_i]));
         }
-        for &(y, pos, s_y) in &clear {
-            b.set(row, pos, g[b_i] * (s_v[b_i] + s_y) / (v[b_i] + y));
+        for (&(y, pos), &s_y) in clear.iter().zip(&s_clear) {
+            // g(b)·(S(v_b) + S(p))/(v_b + p); S(v_b) + S(p) may be zero.
+            let sum = s_v[b_i] + s_y;
+            if !sum.is_zero() {
+                row[pos] = exp(mod255(lg[b_i] + log(sum)) + 255 - log(v[b_i] + y));
+            }
         }
     }
-    Ok(b)
+    Ok(Recovery {
+        raw,
+        missing,
+        coeffs,
+    })
 }
 
 #[cfg(test)]
@@ -260,43 +296,49 @@ mod tests {
         assert!(systematic_generator(256, 256).is_ok());
     }
 
-    #[test]
-    fn decode_inverse_matches_gauss_jordan_oracle() {
-        let (m, n) = (5, 9);
+    /// Asserts that `recovery_rows` names exactly the raw indices absent
+    /// from `indices` and that each of its rows equals the matching row
+    /// of the Gauss–Jordan inverse of the selected generator rows.
+    fn assert_matches_oracle(m: usize, n: usize, indices: &[usize]) {
         let g = systematic_generator(m, n).unwrap();
-        for indices in [
-            vec![0usize, 1, 2, 3, 4], // all clear
-            vec![4, 5, 6, 7, 8],      // mixed
-            vec![8, 7, 6, 5, 0],      // out of order
-            vec![5, 6, 7, 8, 4],      // single clear survivor
-            vec![6, 8, 5, 7, 4],      // shuffled
-        ] {
-            let fast = decode_inverse(m, n, &indices).unwrap();
-            let oracle = g.select_rows(&indices).inverse().unwrap();
-            assert_eq!(fast, oracle, "mismatch for survivors {indices:?}");
+        let oracle = g.select_rows(indices).inverse().unwrap();
+        let rec = recovery_rows(m, n, indices).unwrap();
+        let absent: Vec<usize> = (0..m).filter(|j| !indices.contains(j)).collect();
+        let recovered: Vec<usize> = rec.rows().map(|(j, _)| j).collect();
+        assert_eq!(recovered, absent, "survivors {indices:?}");
+        for (j, row) in rec.rows() {
+            assert_eq!(row, oracle.row(j), "raw {j}, survivors {indices:?}");
         }
     }
 
     #[test]
-    fn decode_inverse_all_parity_survivors() {
-        // r = M: the pure closed-form Cauchy path with no substitution.
-        let (m, n) = (4, 9);
-        let g = systematic_generator(m, n).unwrap();
-        let indices = vec![5usize, 8, 6, 7];
-        let fast = decode_inverse(m, n, &indices).unwrap();
-        let oracle = g.select_rows(&indices).inverse().unwrap();
-        assert_eq!(fast, oracle);
+    fn recovery_rows_match_gauss_jordan_oracle() {
+        for indices in [
+            [0usize, 1, 2, 3, 4], // all clear
+            [4, 5, 6, 7, 8],      // mixed
+            [8, 7, 6, 5, 0],      // out of order
+            [5, 6, 7, 8, 4],      // single clear survivor
+            [6, 8, 5, 7, 4],      // shuffled
+        ] {
+            assert_matches_oracle(5, 9, &indices);
+        }
     }
 
     #[test]
-    fn decode_inverse_validates_input() {
+    fn recovery_rows_all_parity_survivors() {
+        // r = M: the pure closed-form Cauchy path with no substitution.
+        assert_matches_oracle(4, 9, &[5, 8, 6, 7]);
+    }
+
+    #[test]
+    fn recovery_rows_validate_input() {
         assert_eq!(
-            decode_inverse(3, 5, &[0, 1, 9]),
+            recovery_rows(3, 5, &[0, 1, 9]),
             Err(Error::BadPacketIndex(9))
         );
-        assert!(decode_inverse(3, 5, &[0, 1]).is_err()); // too few
-        assert!(decode_inverse(3, 5, &[0, 1, 1]).is_err()); // duplicate
-        assert!(decode_inverse(0, 5, &[]).is_err());
+        assert!(recovery_rows(3, 5, &[0, 1]).is_err()); // too few
+        assert!(recovery_rows(3, 5, &[0, 1, 1]).is_err()); // duplicate
+        assert!(recovery_rows(0, 5, &[]).is_err());
     }
 
     #[test]
@@ -304,12 +346,9 @@ mod tests {
         // Every (M, N) up to 8 with a deterministic survivor choice.
         for n in 1usize..=8 {
             for m in 1..=n {
-                let g = systematic_generator(m, n).unwrap();
                 // Take the *last* M cooked indices: maximizes parity rows.
                 let indices: Vec<usize> = (n - m..n).collect();
-                let fast = decode_inverse(m, n, &indices).unwrap();
-                let oracle = g.select_rows(&indices).inverse().unwrap();
-                assert_eq!(fast, oracle, "mismatch at M={m} N={n}");
+                assert_matches_oracle(m, n, &indices);
             }
         }
     }

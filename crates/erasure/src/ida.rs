@@ -10,8 +10,9 @@
 //!
 //! The generator is built by the [`cauchy`](crate::cauchy) module:
 //! identity rows over a Cauchy parity block, written down directly in
-//! `O(M·N)` (no Gauss–Jordan elimination), with survivor inverses from
-//! the closed-form Cauchy formula in `O(M²)`. [`Codec`] is configured
+//! `O(M·N)` (no Gauss–Jordan elimination). Decoding copies the clear
+//! survivors into place and rebuilds only the `r` lost clear packets,
+//! from closed-form recovery rows in `O(r·M)`. [`Codec`] is configured
 //! once per `(M, N, packet size)` triple and reused across documents.
 
 use std::collections::HashMap;
@@ -20,17 +21,18 @@ use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use mrtweb_obs::{emit, EventKind, Span};
 
-use crate::cauchy;
+use crate::cauchy::{self, Recovery};
 use crate::gf256::{mul_acc, mul_row, Gf256};
 use crate::matrix::Matrix;
 use crate::Error;
 
-/// Decode inverses retained per codec before the cache is reset.
+/// Recovery tables retained per codec before the cache is reset.
 ///
 /// A survivor set keys one entry; real sessions see few distinct loss
 /// patterns per document, so a few hundred entries make the cache
 /// effectively unbounded in practice while capping worst-case memory at
-/// `512 · M²` bytes.
+/// `512 · r · M` bytes, `r ≤ min(M, N − M)` the lost clear packets of a
+/// pattern.
 const INVERSE_CACHE_CAP: usize = 512;
 
 /// Distinct `(M, N)` shapes retained in the process-wide substrate
@@ -41,29 +43,32 @@ const INVERSE_CACHE_CAP: usize = 512;
 const SHARED_SUBSTRATE_CAP: usize = 64;
 
 /// The expensive, parameter-determined part of a codec: the systematic
-/// generator and the survivor-keyed decode-inverse cache. Everything in
+/// generator and the survivor-keyed recovery-table cache. Everything in
 /// here depends only on `(M, N)`, so every session with the same shape
 /// can share one copy.
 #[derive(Debug, Clone)]
 struct Substrate {
     generator: Arc<Matrix>,
-    inverse_cache: Arc<Mutex<HashMap<Vec<u8>, Arc<Matrix>>>>,
+    inverse_cache: Arc<Mutex<RecoveryCache>>,
 }
+
+/// Recovery tables keyed by the survivor set's cooked indices.
+type RecoveryCache = HashMap<Vec<u8>, Arc<Recovery>>;
 
 fn substrate_registry() -> &'static Mutex<HashMap<(usize, usize), Substrate>> {
     static REGISTRY: OnceLock<Mutex<HashMap<(usize, usize), Substrate>>> = OnceLock::new();
     REGISTRY.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
-/// Decode-inverse cache hits across every codec in the process.
+/// Recovery-table cache hits across every codec in the process.
 static INVERSE_HITS: AtomicU64 = AtomicU64::new(0);
-/// Decode-inverse cache misses across every codec in the process.
+/// Recovery-table cache misses across every codec in the process.
 static INVERSE_MISSES: AtomicU64 = AtomicU64::new(0);
 
-/// Process-wide decode-inverse cache traffic as `(hits, misses)`.
+/// Process-wide recovery-table cache traffic as `(hits, misses)`.
 ///
 /// Counts every [`Codec`] in the process, shared or private. A hit
-/// recorded by one session against an inverse another session paid for
+/// recorded by one session against a table another session paid for
 /// is exactly the cross-session reuse the shared substrate exists to
 /// provide; the proxy mirrors these into its stats snapshot.
 pub fn inverse_cache_counters() -> (u64, u64) {
@@ -98,12 +103,12 @@ pub struct Codec {
     cooked: usize,
     packet_size: usize,
     generator: Arc<Matrix>,
-    /// Decode inverses keyed by the surviving cooked-index set. Shared
+    /// Recovery tables keyed by the surviving cooked-index set. Shared
     /// across clones (and therefore across worker threads in the `par`
-    /// layer) so every thread benefits from every inversion. Codecs
+    /// layer) so every thread benefits from every table built. Codecs
     /// built by [`Codec::shared`] additionally share this cache with
     /// every other shared codec of the same `(M, N)` shape.
-    inverse_cache: Arc<Mutex<HashMap<Vec<u8>, Arc<Matrix>>>>,
+    inverse_cache: Arc<Mutex<RecoveryCache>>,
 }
 
 impl Codec {
@@ -134,12 +139,12 @@ impl Codec {
 
     /// Like [`Codec::new`], but backed by the process-wide substrate
     /// registry: the systematic generator is computed once per `(M, N)`
-    /// shape, and the decode-inverse cache is one shared, bounded map
+    /// shape, and the recovery-table cache is one shared, bounded map
     /// across every session using that shape.
     ///
     /// This is the constructor for concurrent servers and clients — the
-    /// `O(N·M)` generator construction and each `O(M²)` closed-form
-    /// decode inversion are paid once per process instead of once per
+    /// `O(N·M)` generator construction and each `O(r·M)` closed-form
+    /// recovery table are paid once per process instead of once per
     /// session. [`Codec::new`] remains fully private and uncached so
     /// benchmarks measuring setup cost stay honest.
     ///
@@ -176,11 +181,16 @@ impl Codec {
             generator: Arc::clone(&generator),
             inverse_cache: Arc::new(Mutex::new(HashMap::new())),
         };
-        if registry.len() >= SHARED_SUBSTRATE_CAP {
-            registry.clear();
-        }
+        // A reset frees every shape's generator and cache: move the map
+        // out and drop it after unlocking, not under the lock.
+        let evicted = if registry.len() >= SHARED_SUBSTRATE_CAP {
+            std::mem::take(&mut *registry)
+        } else {
+            HashMap::new()
+        };
         registry.insert((raw, cooked), sub.clone());
         drop(registry);
+        drop(evicted);
         Ok(Codec {
             raw,
             cooked,
@@ -372,9 +382,12 @@ impl Codec {
     /// Reconstructs the original `len` bytes from any `M` intact cooked
     /// packets, supplied as `(cooked index, payload)` pairs.
     ///
-    /// Extra packets beyond `M` are ignored (the first `M` distinct
-    /// indices are used). If the supplied packets happen to be exactly
-    /// the clear-text prefix, no matrix inversion is performed.
+    /// Duplicate indices are ignored. When more than `M` distinct
+    /// indices are supplied, clear-text packets are chosen before any
+    /// parity (lowest indices first), since each is a plain copy. The
+    /// clear survivors are copied into place and only the `r` raw
+    /// packets they lack are computed, `O(r·M)` multiply-accumulates;
+    /// an all-clear survivor set needs no arithmetic at all.
     ///
     /// # Errors
     ///
@@ -388,8 +401,8 @@ impl Codec {
         self.decode_impl(packets, len, true)
     }
 
-    /// [`Codec::decode`] with the inverse cache bypassed: the recovery
-    /// matrix is inverted fresh on every call.
+    /// [`Codec::decode`] with the recovery cache bypassed: the recovery
+    /// table is computed fresh on every call.
     ///
     /// Exists so tests can prove cached and fresh decodes agree; it is
     /// never faster than [`Codec::decode`].
@@ -429,109 +442,208 @@ impl Codec {
                 capacity: self.capacity(),
             });
         }
-        // Deduplicate, validate, and take the first M distinct indices.
-        let mut chosen: Vec<(usize, &[u8])> = Vec::with_capacity(self.raw);
+        let ps = self.packet_size;
+        let mut out = vec![0u8; self.capacity()];
+        // Clear survivors go straight to their offsets; parity waits
+        // until we know how many raw packets are missing.
         let mut seen = vec![false; self.cooked];
+        let mut clear = 0;
+        let mut parity: Vec<(usize, &[u8])> = Vec::new();
         for (idx, payload) in packets {
-            if *idx >= self.cooked {
-                return Err(Error::BadPacketIndex(*idx));
-            }
-            if payload.len() != self.packet_size {
+            let dup = seen.get_mut(*idx).ok_or(Error::BadPacketIndex(*idx))?;
+            if payload.len() != ps {
                 return Err(Error::BadPacketLength {
                     got: payload.len(),
-                    want: self.packet_size,
+                    want: ps,
                 });
             }
-            if seen[*idx] {
+            if std::mem::replace(dup, true) {
                 continue;
             }
-            seen[*idx] = true;
-            chosen.push((*idx, payload.as_slice()));
-            if chosen.len() == self.raw {
-                break;
+            if *idx < self.raw {
+                out[idx * ps..(idx + 1) * ps].copy_from_slice(payload);
+                clear += 1;
+            } else {
+                parity.push((*idx, payload.as_slice()));
             }
         }
-        if chosen.len() < self.raw {
+        let lost = self.raw - clear;
+        if parity.len() < lost {
             return Err(Error::NotEnoughPackets {
-                have: chosen.len(),
+                have: clear + parity.len(),
                 need: self.raw,
             });
         }
-
-        // Raw packet r occupies output bytes [r·ps, (r+1)·ps), truncated
-        // to `len`, so rows are reconstructed directly into the result —
-        // no intermediate per-packet buffers, and rows entirely past
-        // `len` are never computed.
-        let ps = self.packet_size;
-        let mut out = vec![0u8; len];
-        let all_clear = chosen.iter().all(|(i, _)| *i < self.raw);
-        if all_clear {
-            for (i, payload) in &chosen {
-                let start = i * ps;
-                if start >= len {
-                    continue;
-                }
-                let end = (start + ps).min(len);
-                out[start..end].copy_from_slice(&payload[..end - start]);
-            }
-        } else {
-            let indices: Vec<usize> = chosen.iter().map(|(i, _)| *i).collect();
-            let inv = if use_cache {
-                self.inverse_for(&indices)?
-            } else {
-                Arc::new(cauchy::decode_inverse(self.raw, self.cooked, &indices)?)
-            };
-            for r in 0..self.raw {
-                let start = r * ps;
-                if start >= len {
-                    break;
-                }
-                let end = (start + ps).min(len);
-                let row = &mut out[start..end];
-                mul_row(row, &chosen[0].1[..end - start], inv.get(r, 0));
-                for (k, (_, payload)) in chosen.iter().enumerate().skip(1) {
-                    mul_acc(row, &payload[..end - start], inv.get(r, k));
-                }
-            }
+        if lost > 0 {
+            // Lowest parity indices first: one canonical survivor list
+            // (the cache key) per survivor set, whatever the supply order.
+            parity.sort_unstable_by_key(|&(i, _)| i);
+            parity.truncate(lost);
+            let survivors: Vec<usize> = (0..self.raw)
+                .filter(|&j| seen[j])
+                .chain(parity.iter().map(|&(i, _)| i))
+                .collect();
+            let payloads: Vec<&[u8]> = parity.iter().map(|&(_, p)| p).collect();
+            self.rebuild(&mut out, &survivors, &payloads, len, use_cache)?;
         }
+        out.truncate(len);
         Ok(out)
     }
 
-    /// Returns the decode inverse for the given survivor set, from the
+    /// Rebuilds, in place, the raw packets that no clear survivor
+    /// carries: the receiving half of systematic decoding, for a client
+    /// that paints each clear packet at its offset as it lands.
+    ///
+    /// `raw` is the flat `M · packet_size` raw buffer (raw packet `j` at
+    /// `j · packet_size`) already holding every clear survivor's
+    /// payload. `survivors` lists `M` distinct cooked indices, and
+    /// `parity` the payloads of its parity members (index `≥ M`) in the
+    /// order `survivors` lists them. Only the `r` lost rows are written,
+    /// each a combination of the `M` survivors (`O(r·M)` work); lost
+    /// rows starting at or past `len` are left as they are. The recovery
+    /// table comes from the shared, survivor-keyed cache.
+    ///
+    /// # Errors
+    ///
+    /// * [`Error::LengthOverflow`] if `len > capacity()`.
+    /// * [`Error::BadPacketLength`] if `raw` is not `capacity()` bytes
+    ///   or a parity payload is not `packet_size` bytes.
+    /// * [`Error::BadPacketIndex`] for a survivor index `≥ N`.
+    /// * [`Error::InvalidParameters`] unless `survivors` holds exactly
+    ///   `M` distinct indices, of which exactly `parity.len()` are
+    ///   parity.
+    pub fn recover_in_place(
+        &self,
+        raw: &mut [u8],
+        survivors: &[usize],
+        parity: &[&[u8]],
+        len: usize,
+    ) -> Result<(), Error> {
+        let span = Span::start(EventKind::DecodeSpan);
+        let out = self.rebuild(raw, survivors, parity, len, true);
+        span.end(self.raw as u64);
+        out
+    }
+
+    fn rebuild(
+        &self,
+        raw: &mut [u8],
+        survivors: &[usize],
+        parity: &[&[u8]],
+        len: usize,
+        use_cache: bool,
+    ) -> Result<(), Error> {
+        let ps = self.packet_size;
+        if len > self.capacity() {
+            return Err(Error::LengthOverflow {
+                requested: len,
+                capacity: self.capacity(),
+            });
+        }
+        if raw.len() != self.capacity() {
+            return Err(Error::BadPacketLength {
+                got: raw.len(),
+                want: self.capacity(),
+            });
+        }
+        if let Some(bad) = parity.iter().find(|p| p.len() != ps) {
+            return Err(Error::BadPacketLength {
+                got: bad.len(),
+                want: ps,
+            });
+        }
+        let invalid = Error::InvalidParameters {
+            raw: self.raw,
+            cooked: self.cooked,
+        };
+        let mut seen = vec![false; self.cooked];
+        for &i in survivors {
+            let slot = seen.get_mut(i).ok_or(Error::BadPacketIndex(i))?;
+            if std::mem::replace(slot, true) {
+                return Err(invalid);
+            }
+        }
+        if survivors.len() != self.raw
+            || survivors.iter().filter(|&&i| i >= self.raw).count() != parity.len()
+        {
+            return Err(invalid);
+        }
+        if parity.is_empty() {
+            return Ok(()); // every raw packet is a clear survivor
+        }
+        let rec = if use_cache {
+            self.recovery_for(survivors)?
+        } else {
+            Arc::new(cauchy::recovery_rows(self.raw, self.cooked, survivors)?)
+        };
+        // Every survivor's payload, in survivor order: clear ones from
+        // their rows of `raw`, parity ones as supplied.
+        let mut supplied = parity.iter().copied();
+        let sources: Vec<&[u8]> = survivors
+            .iter()
+            .filter_map(|&i| {
+                if i < self.raw {
+                    Some(&raw[i * ps..(i + 1) * ps])
+                } else {
+                    supplied.next()
+                }
+            })
+            .collect();
+        debug_assert_eq!(sources.len(), survivors.len());
+        // Rows ascend, so the ones past `len` are a suffix.
+        let lost: Vec<(usize, &[Gf256])> = rec.rows().take_while(|&(j, _)| j * ps < len).collect();
+        let mut rebuilt = vec![0u8; lost.len() * ps];
+        for ((_, coeffs), row) in lost.iter().zip(rebuilt.chunks_exact_mut(ps)) {
+            for (src, &c) in sources.iter().zip(*coeffs) {
+                mul_acc(row, src, c);
+            }
+        }
+        for ((j, _), row) in lost.iter().zip(rebuilt.chunks_exact(ps)) {
+            raw[j * ps..(j + 1) * ps].copy_from_slice(row);
+        }
+        Ok(())
+    }
+
+    /// Returns the recovery table for the given survivor set, from the
     /// cache when present.
     ///
     /// Weakly-connected sessions revisit the same few loss patterns
     /// (burst losses hit the same interleave positions), so even the
-    /// closed-form `O(M²)` Cauchy inversion is paid once per pattern
-    /// instead of once per document; the cache also keeps small-packet
-    /// warm decodes allocation-free.
-    fn inverse_for(&self, indices: &[usize]) -> Result<Arc<Matrix>, Error> {
+    /// closed-form `O(r·M)` table is paid once per pattern instead of
+    /// once per document.
+    fn recovery_for(&self, indices: &[usize]) -> Result<Arc<Recovery>, Error> {
         let key: Vec<u8> = indices.iter().map(|&i| i as u8).collect();
         let cache = self
             .inverse_cache
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
-        if let Some(inv) = cache.get(&key) {
+        if let Some(rec) = cache.get(&key) {
             // ORDERING: pure tallies — nothing is published through
             // them; RMW atomicity alone keeps the totals exact.
             INVERSE_HITS.fetch_add(1, Ordering::Relaxed);
             emit(EventKind::CacheHit, self.raw as u64, cache.len() as u64);
-            return Ok(Arc::clone(inv));
+            return Ok(Arc::clone(rec));
         }
         // ORDERING: same monitoring tally as the hit counter above.
         INVERSE_MISSES.fetch_add(1, Ordering::Relaxed);
         emit(EventKind::CacheMiss, self.raw as u64, cache.len() as u64);
-        drop(cache); // do not hold the lock across the inversion
-        let inv = Arc::new(cauchy::decode_inverse(self.raw, self.cooked, indices)?);
+        drop(cache); // do not hold the lock across the computation
+        let rec = Arc::new(cauchy::recovery_rows(self.raw, self.cooked, indices)?);
         let mut cache = self
             .inverse_cache
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
-        if cache.len() >= INVERSE_CACHE_CAP {
-            cache.clear();
-        }
-        cache.insert(key, Arc::clone(&inv));
-        Ok(inv)
+        // A reset frees up to `INVERSE_CACHE_CAP` tables: move the map
+        // out and drop it after unlocking, off every other decoder's path.
+        let evicted = if cache.len() >= INVERSE_CACHE_CAP {
+            std::mem::take(&mut *cache)
+        } else {
+            HashMap::new()
+        };
+        cache.insert(key, Arc::clone(&rec));
+        drop(cache);
+        drop(evicted);
+        Ok(rec)
     }
 
     /// Returns the generator row for cooked packet `index` — the GF(2⁸)
@@ -689,6 +801,64 @@ mod tests {
             (4, cooked[4].clone()),
         ];
         assert_eq!(codec.decode(&packets, 12).unwrap(), data);
+    }
+
+    #[test]
+    fn recover_in_place_rebuilds_only_lost_rows() {
+        let codec = Codec::new(4, 7, 8).unwrap();
+        let data = sample(29);
+        let cooked = codec.encode(&data);
+        // Clear packets 1 and 3 lost; parity 6 and 4 stand in.
+        let mut raw = vec![0xEEu8; codec.capacity()];
+        for i in [0usize, 2] {
+            raw[i * 8..(i + 1) * 8].copy_from_slice(&cooked[i]);
+        }
+        let survivors = [0usize, 2, 6, 4];
+        let parity = [cooked[6].as_slice(), cooked[4].as_slice()];
+        codec
+            .recover_in_place(&mut raw, &survivors, &parity, data.len())
+            .unwrap();
+        assert_eq!(&raw[..data.len()], data.as_slice());
+    }
+
+    #[test]
+    fn recover_in_place_validates_its_inputs() {
+        let codec = Codec::new(3, 5, 4).unwrap();
+        let p = [0u8; 4];
+        let mut raw = vec![0u8; 12];
+        let invalid = Err(Error::InvalidParameters { raw: 3, cooked: 5 });
+        // Duplicate survivor, too few survivors, parity count mismatch.
+        assert_eq!(
+            codec.recover_in_place(&mut raw, &[0, 0, 3], &[&p], 12),
+            invalid
+        );
+        assert_eq!(
+            codec.recover_in_place(&mut raw, &[0, 3], &[&p], 12),
+            invalid
+        );
+        assert_eq!(
+            codec.recover_in_place(&mut raw, &[0, 1, 3], &[], 12),
+            invalid
+        );
+        assert_eq!(
+            codec.recover_in_place(&mut raw, &[0, 1, 9], &[&p], 12),
+            Err(Error::BadPacketIndex(9))
+        );
+        assert_eq!(
+            codec.recover_in_place(&mut raw, &[0, 1, 3], &[&p[..3]], 12),
+            Err(Error::BadPacketLength { got: 3, want: 4 })
+        );
+        assert_eq!(
+            codec.recover_in_place(&mut raw[..8], &[0, 1, 3], &[&p], 8),
+            Err(Error::BadPacketLength { got: 8, want: 12 })
+        );
+        assert_eq!(
+            codec.recover_in_place(&mut raw, &[0, 1, 3], &[&p], 13),
+            Err(Error::LengthOverflow {
+                requested: 13,
+                capacity: 12
+            })
+        );
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //!   and Vandermonde constructors (the correctness oracle for the fast
 //!   paths);
 //! * [`cauchy`] — the Cauchy-matrix construction the codec actually
-//!   runs on: `O(M·N)` systematic generator setup and a closed-form
-//!   `O(M²)` survivor inverse;
+//!   runs on: `O(M·N)` systematic generator setup and closed-form
+//!   `O(r·M)` recovery rows for the `r` lost clear packets;
 //! * [`ida`] — a *systematic* variant of Rabin's Information Dispersal
 //!   Algorithm: `M` raw packets are transformed into `N ≥ M` cooked
 //!   packets such that **any** `M` intact cooked packets reconstruct the

@@ -58,11 +58,6 @@ impl Frame {
         &self.payload
     }
 
-    /// Consumes the frame, returning the payload.
-    pub fn into_payload(self) -> Vec<u8> {
-        self.payload
-    }
-
     /// Serializes the frame: `seq (2B BE) | payload | crc16 (2B BE)`.
     pub fn to_wire(&self) -> Bytes {
         let mut buf = BytesMut::with_capacity(self.payload.len() + FRAME_OVERHEAD);
@@ -80,29 +75,28 @@ impl Frame {
     /// [`Error::MalformedFrame`] if the buffer length is wrong or the CRC
     /// does not match (i.e. the frame was corrupted in transit).
     pub fn from_wire(wire: &[u8], payload_len: usize) -> Result<Self, Error> {
-        if wire.len() != payload_len + FRAME_OVERHEAD {
-            return Err(Error::MalformedFrame("wrong frame length"));
-        }
-        let body = &wire[..wire.len() - 2];
-        let stored = u16::from_be_bytes([wire[wire.len() - 2], wire[wire.len() - 1]]);
-        if crc16(body) != stored {
-            return Err(Error::MalformedFrame("CRC mismatch"));
-        }
-        let sequence = u16::from_be_bytes([wire[0], wire[1]]);
+        let (sequence, payload) = Frame::parse_wire(wire, payload_len)?;
         Ok(Frame {
             sequence,
-            payload: wire[2..wire.len() - 2].to_vec(),
+            payload: payload.to_vec(),
         })
     }
 
-    /// Checks integrity without allocating a [`Frame`].
-    pub fn verify_wire(wire: &[u8], payload_len: usize) -> bool {
+    /// Like [`Frame::from_wire`], but borrows the payload from `wire`
+    /// instead of copying it: `(sequence, payload)`.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Frame::from_wire`].
+    pub fn parse_wire(wire: &[u8], payload_len: usize) -> Result<(u16, &[u8]), Error> {
         if wire.len() != payload_len + FRAME_OVERHEAD {
-            return false;
+            return Err(Error::MalformedFrame("wrong frame length"));
         }
-        let body = &wire[..wire.len() - 2];
-        let stored = u16::from_be_bytes([wire[wire.len() - 2], wire[wire.len() - 1]]);
-        crc16(body) == stored
+        let (body, crc) = wire.split_at(wire.len() - 2);
+        if crc16(body) != u16::from_be_bytes([crc[0], crc[1]]) {
+            return Err(Error::MalformedFrame("CRC mismatch"));
+        }
+        Ok((u16::from_be_bytes([body[0], body[1]]), &body[2..]))
     }
 }
 
@@ -165,7 +159,8 @@ mod tests {
         let wire = f.to_wire();
         assert_eq!(wire.len(), 36);
         assert_eq!(Frame::from_wire(&wire, 32).unwrap(), f);
-        assert!(Frame::verify_wire(&wire, 32));
+        let (sequence, payload) = Frame::parse_wire(&wire, 32).unwrap();
+        assert_eq!((sequence, payload), (0xBEEF, f.payload()));
     }
 
     #[test]
@@ -179,7 +174,7 @@ mod tests {
                 Frame::from_wire(&bad, 16).is_err(),
                 "flip at byte {i} went undetected"
             );
-            assert!(!Frame::verify_wire(&bad, 16));
+            assert!(Frame::parse_wire(&bad, 16).is_err());
         }
     }
 

@@ -92,8 +92,8 @@ fn clear_chunks(clear: &[u8], ps: usize) -> Vec<&[u8]> {
 /// Wraps a [`ChunkedCodec`]; results are bit-identical to the serial
 /// [`ChunkedCodec::encode`]/[`ChunkedCodec::decode`] (groups are
 /// reassembled in document order regardless of which worker finished
-/// first). Clones share the wrapped codec's decode-inverse cache, so
-/// inversions performed by one worker are visible to all.
+/// first). Clones share the wrapped codec's recovery-table cache, so
+/// tables built by one worker are visible to all.
 #[derive(Debug, Clone)]
 pub struct GroupCodec {
     chunked: ChunkedCodec,

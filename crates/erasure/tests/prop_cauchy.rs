@@ -1,7 +1,7 @@
 //! Property-based tests for the Cauchy codec substrate.
 //!
 //! The dense Gauss-Jordan machinery in `matrix.rs` is retained purely as
-//! the oracle here: the closed-form Cauchy generator and decode inverse
+//! the oracle here: the closed-form Cauchy generator and recovery rows
 //! must agree with generic row reduction on every random geometry and
 //! survivor pattern, and the three decode front-ends (one-shot `Codec`,
 //! `IncrementalDecoder`, parallel `GroupCodec`) must stay byte-identical
@@ -35,53 +35,71 @@ fn pick_survivors(n: usize, keep: usize, seed: u64) -> Vec<usize> {
     indices
 }
 
+/// Checks the closed-form recovery rows for `survivors` against the
+/// Gauss-Jordan inverse of the selected generator rows: exactly the raw
+/// indices absent from the survivors are recovered, each row equals the
+/// oracle's row for that raw index, and the rows times the selected
+/// generator rows give the matching identity rows.
+fn check_recovery_against_oracle(m: usize, n: usize, survivors: &[usize]) {
+    let generator = cauchy::systematic_generator(m, n).unwrap();
+    assert!(generator.is_systematic());
+    let selected = generator.select_rows(survivors);
+    // Oracle: generic dense inversion of the selected rows.
+    let oracle = selected.inverse().unwrap();
+    // Closed form under test.
+    let rec = cauchy::recovery_rows(m, n, survivors).unwrap();
+    let absent: Vec<usize> = (0..m).filter(|j| !survivors.contains(j)).collect();
+    let recovered: Vec<usize> = rec.rows().map(|(j, _)| j).collect();
+    assert_eq!(&recovered, &absent);
+    if absent.is_empty() {
+        return;
+    }
+    let mut rows = Matrix::zero(absent.len(), m);
+    for (b, (j, row)) in rec.rows().enumerate() {
+        assert_eq!(row, oracle.row(j), "raw {j}");
+        for (k, &c) in row.iter().enumerate() {
+            rows.set(b, k, c);
+        }
+    }
+    // The rows must invert the selected rows exactly.
+    assert_eq!(
+        rows.mul(&selected),
+        Matrix::identity(m).select_rows(&absent)
+    );
+}
+
 proptest! {
-    /// The Cauchy generator is systematic and every row the oracle can
-    /// produce, it produces identically: selecting any M rows and
-    /// inverting with Gauss-Jordan must reconstruct the identity against
-    /// the closed-form `decode_inverse`.
+    /// The Cauchy generator is systematic and every recovery row the
+    /// closed form produces, the oracle produces identically: selecting
+    /// any M rows and inverting with Gauss-Jordan must give the same row
+    /// for each raw packet the survivors lack.
     #[test]
-    fn cauchy_inverse_matches_gauss_jordan_oracle(
+    fn cauchy_recovery_rows_match_gauss_jordan_oracle(
         m in 1usize..24,
         extra in 0usize..24,
         seed in any::<u64>(),
     ) {
         let n = m + extra;
-        let generator = cauchy::systematic_generator(m, n).unwrap();
-        prop_assert!(generator.is_systematic());
-
         let mut survivors = pick_survivors(n, m, seed);
         survivors.sort_unstable();
-
-        // Oracle: generic dense inversion of the selected rows.
-        let oracle = generator.select_rows(&survivors).inverse().unwrap();
-        // Closed form under test.
-        let fast = cauchy::decode_inverse(m, n, &survivors).unwrap();
-        prop_assert_eq!(&fast, &oracle);
-
-        // Both must invert the selected rows exactly.
-        let selected = generator.select_rows(&survivors);
-        prop_assert_eq!(fast.mul(&selected), Matrix::identity(m));
+        check_recovery_against_oracle(m, n, &survivors);
     }
 
     /// Worst-case survivor set — all parity, zero clear rows — across
     /// the geometry sweep. This exercises the full Cauchy-inverse
     /// product formulas with no identity-row shortcuts.
     #[test]
-    fn cauchy_inverse_all_parity_matches_oracle(
+    fn cauchy_recovery_rows_all_parity_match_oracle(
         m in 1usize..20,
         seed in any::<u64>(),
     ) {
         let n = 2 * m;
-        let generator = cauchy::systematic_generator(m, n).unwrap();
         let mut survivors = pick_survivors(m, m, seed);
         for s in &mut survivors {
             *s += m; // shift into the parity range [m, 2m)
         }
         survivors.sort_unstable();
-        let oracle = generator.select_rows(&survivors).inverse().unwrap();
-        let fast = cauchy::decode_inverse(m, n, &survivors).unwrap();
-        prop_assert_eq!(&fast, &oracle);
+        check_recovery_against_oracle(m, n, &survivors);
     }
 
     /// One document, three decoders, one answer: the one-shot codec,

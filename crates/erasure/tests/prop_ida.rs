@@ -91,6 +91,53 @@ proptest! {
         );
     }
 
+    /// Decode inputs beyond exactly M distinct packets in index order:
+    /// more than M survivors with the clear ones listed after parity,
+    /// duplicated entries, and documents that end rows before the
+    /// codec's capacity (so some lost rows lie wholly past `len`).
+    #[test]
+    fn decode_prefers_clear_survivors_and_skips_duplicates(
+        m in 1usize..12,
+        extra in 1usize..10,
+        packet_size in 1usize..24,
+        tail_rows in 0usize..12,
+        tail_bytes in 0usize..24,
+        keep_seed in any::<u64>(),
+        dup_seed in any::<u64>(),
+    ) {
+        let n = m + extra;
+        let codec = Codec::new(m, n, packet_size).unwrap();
+        // End the document `tail_rows` whole rows (and a few bytes)
+        // before capacity; raw rows past that are pure padding.
+        let len = codec
+            .capacity()
+            .saturating_sub((tail_rows % m) * packet_size + tail_bytes % packet_size);
+        let data: Vec<u8> = (0..len).map(|i| (i * 113 + 29) as u8).collect();
+        let cooked = codec.encode(&data);
+
+        // Keep at least M of the N packets, then list every parity
+        // survivor before every clear one.
+        let keep = m + (keep_seed as usize >> 8) % (n - m + 1);
+        let mut kept = pick_survivors(n, keep, keep_seed);
+        kept.sort_unstable_by_key(|&i| (i < m, i));
+        let mut packets: Vec<(usize, Vec<u8>)> =
+            kept.iter().map(|&i| (i, cooked[i].clone())).collect();
+        // Repeat a few survivors at pseudo-random positions.
+        for d in 0..(dup_seed % 4) as usize {
+            let from = (dup_seed as usize).wrapping_add(d * 7) % kept.len();
+            let at = (dup_seed as usize >> 16).wrapping_add(d * 5) % (packets.len() + 1);
+            packets.insert(at, (kept[from], cooked[kept[from]].clone()));
+        }
+        prop_assert_eq!(codec.decode(&packets, len).unwrap(), data.clone());
+        prop_assert_eq!(codec.decode_uncached(&packets, len).unwrap(), data.clone());
+
+        // With every clear packet on hand, parity is never read: a
+        // garbage parity payload listed first must not matter.
+        let mut all_clear: Vec<(usize, Vec<u8>)> = vec![(m, vec![0xA5; packet_size])];
+        all_clear.extend(cooked.iter().take(m).cloned().enumerate());
+        prop_assert_eq!(codec.decode(&all_clear, len).unwrap(), data);
+    }
+
     /// Vandermonde matrices with distinct points are always invertible,
     /// and inversion is exact.
     #[test]

@@ -9,12 +9,14 @@
 //! This module is the Rust analogue: a server thread packetizes, frames
 //! (CRC + sequence number) and pushes a document through a corrupting
 //! [`Link`]; the client verifies CRCs, discards corrupted frames,
-//! emits progressive [`ClientEvent::SliceProgress`] rendering events as
-//! clear-text bytes land, requests retransmission of what it lacks, and
-//! reconstructs the document from any `M` intact cooked packets.
+//! paints each clear-text packet at its offset and emits progressive
+//! [`ClientEvent::SliceProgress`] rendering events as it lands, requests
+//! retransmission of what it lacks, and, once any `M` cooked packets are
+//! intact, rebuilds in place only the clear packets that were lost.
 
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use parking_lot::Mutex;
+use std::ops::Range;
 use std::sync::Arc;
 use std::thread;
 
@@ -252,11 +254,21 @@ impl LiveServer {
 pub struct LiveClient {
     header: DocumentHeader,
     state: ReceiverState,
-    packets: Vec<Option<Vec<u8>>>,
     codec: Codec,
+    /// The raw document, raw packet `j` at `j · packet_size`: each intact
+    /// clear payload is written at its offset as it lands, and the rows
+    /// no clear packet delivered are rebuilt in place once `M` packets
+    /// are intact. Grown only as far as intact frames reach, so a
+    /// hostile header's packet size never sizes an allocation by itself.
+    raw: Vec<u8>,
+    /// Intact parity payloads, cooked packet `i ≥ M` at
+    /// `(i − M) · packet_size`; grown the same way as `raw`.
+    parity: Vec<u8>,
+    /// Byte range of each plan slice within the document.
+    slice_ranges: Vec<Range<usize>>,
     /// Intact clear bytes per slice (for rendering progress).
     slice_have: Vec<usize>,
-    reconstructed: Option<Vec<u8>>,
+    reconstructed: bool,
 }
 
 impl LiveClient {
@@ -267,27 +279,30 @@ impl LiveClient {
     /// Propagates codec construction errors for inconsistent headers.
     pub fn new(header: DocumentHeader) -> Result<Self, Error> {
         // Shared substrate: every client session with this (M, N) shape
-        // shares one generator and one survivor-keyed decode-inverse
-        // cache, so a loss pattern inverted by any session is a cache
-        // hit for all of them.
+        // shares one generator and one survivor-keyed recovery-table
+        // cache, so a loss pattern solved by any session is a cache hit
+        // for all of them.
         let codec = Codec::shared(header.m, header.n, header.packet_size)?;
         let contents = header.plan.packet_contents(header.packet_size);
         let state = ReceiverState::new(header.m, header.n, contents);
-        let slice_have = vec![0usize; header.plan.slices().len()];
+        let slice_ranges = header.plan.slice_ranges();
+        let slice_have = vec![0usize; slice_ranges.len()];
         Ok(LiveClient {
-            packets: vec![None; header.n],
             state,
             codec,
+            raw: Vec::new(),
+            parity: Vec::new(),
+            slice_ranges,
             slice_have,
             header,
-            reconstructed: None,
+            reconstructed: false,
         })
     }
 
     /// Feeds one wire frame (possibly corrupted). Returns rendering
     /// events triggered by this frame.
     pub fn on_wire(&mut self, wire: &[u8]) -> Vec<ClientEvent> {
-        let Ok(frame) = Frame::from_wire(wire, self.header.packet_size) else {
+        let Ok((sequence, payload)) = Frame::parse_wire(wire, self.header.packet_size) else {
             // Corrupted: detected by CRC, discarded. Sequence is
             // unknown, so we only book the corruption statistically;
             // index 0 is safe because corrupted packets never alter
@@ -296,7 +311,7 @@ impl LiveClient {
             emit(EventKind::CrcReject, self.state.corrupted(), 0);
             return Vec::new();
         };
-        let idx = frame.sequence() as usize;
+        let idx = usize::from(sequence);
         if idx >= self.header.n || self.state.has(idx) {
             // Unknown or duplicate: nothing new.
             if idx < self.header.n {
@@ -305,32 +320,53 @@ impl LiveClient {
             return Vec::new();
         }
         self.state.on_packet(idx, false);
-        self.packets[idx] = Some(frame.into_payload());
-        let mut events = Vec::new();
-        if idx < self.header.m {
-            events.extend(self.render_progress(idx));
+        let (m, ps) = (self.header.m, self.header.packet_size);
+        let (buf, row) = if idx < m {
+            (&mut self.raw, idx)
+        } else {
+            (&mut self.parity, idx - m)
+        };
+        let end = (row + 1) * ps;
+        if buf.len() < end {
+            buf.resize(end, 0);
         }
-        if self.state.is_complete() && self.reconstructed.is_none() {
-            let collected: Vec<(usize, Vec<u8>)> = self
-                .packets
-                .iter()
-                .enumerate()
-                .filter_map(|(i, p)| p.clone().map(|p| (i, p)))
-                .collect();
-            if let Ok(bytes) = self.codec.decode(&collected, self.header.doc_len) {
-                self.reconstructed = Some(bytes);
-                events.push(ClientEvent::Reconstructed);
-            }
+        buf[end - ps..end].copy_from_slice(payload);
+        let mut events = Vec::new();
+        if idx < m {
+            self.render_progress(idx, &mut events);
+        }
+        if self.state.is_complete() && !self.reconstructed && self.rebuild_lost_rows() {
+            self.reconstructed = true;
+            events.push(ClientEvent::Reconstructed);
         }
         events
     }
 
+    /// Rebuilds the raw rows no intact clear packet delivered from the
+    /// `M` intact packets; `false` if the header is inconsistent.
+    fn rebuild_lost_rows(&mut self) -> bool {
+        let m = self.header.m;
+        let ps = self.header.packet_size;
+        let survivors: Vec<usize> = (0..self.header.n)
+            .filter(|&i| self.state.has(i))
+            .take(m)
+            .collect();
+        self.raw.resize(m * ps, 0);
+        let parity: Vec<&[u8]> = survivors
+            .iter()
+            .filter(|&&i| i >= m)
+            .map(|&i| &self.parity[(i - m) * ps..(i - m + 1) * ps])
+            .collect();
+        self.codec
+            .recover_in_place(&mut self.raw, &survivors, &parity, self.header.doc_len)
+            .is_ok()
+    }
+
     /// Rendering progress for the slices a clear packet touches.
-    fn render_progress(&mut self, packet_idx: usize) -> Vec<ClientEvent> {
+    fn render_progress(&mut self, packet_idx: usize, events: &mut Vec<ClientEvent>) {
         let lo = packet_idx * self.header.packet_size;
         let hi = ((packet_idx + 1) * self.header.packet_size).min(self.header.doc_len);
-        let mut events = Vec::new();
-        for (i, range) in self.header.plan.slice_ranges().iter().enumerate() {
+        for (i, range) in self.slice_ranges.iter().enumerate() {
             let overlap = hi.min(range.end).saturating_sub(lo.max(range.start));
             if overlap == 0 || range.is_empty() {
                 continue;
@@ -348,7 +384,6 @@ impl LiveClient {
                 fraction: fraction.min(1.0),
             });
         }
-        events
     }
 
     /// Protocol bookkeeping (intact counts, content, missing packets).
@@ -358,15 +393,17 @@ impl LiveClient {
 
     /// The reconstructed payload, once available.
     pub fn document_bytes(&self) -> Option<&[u8]> {
-        self.reconstructed.as_deref()
+        self.raw
+            .get(..self.header.doc_len)
+            .filter(|_| self.reconstructed)
     }
 
-    /// Discards all packet state (NoCaching reload).
+    /// Discards all packet state (NoCaching reload). The buffers are
+    /// kept: re-delivered packets overwrite them.
     pub fn reset(&mut self) {
         self.state.reset_packets();
-        self.packets.iter_mut().for_each(|p| *p = None);
         self.slice_have.iter_mut().for_each(|b| *b = 0);
-        self.reconstructed = None;
+        self.reconstructed = false;
     }
 }
 

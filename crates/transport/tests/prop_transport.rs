@@ -6,7 +6,14 @@ use proptest::prelude::*;
 use mrtweb_channel::bandwidth::Bandwidth;
 use mrtweb_channel::bernoulli::BernoulliChannel;
 use mrtweb_channel::link::Link;
-use mrtweb_transport::plan::{TransmissionPlan, UnitSlice};
+use mrtweb_content::query::Query;
+use mrtweb_content::sc::{Measure, StructuralCharacteristic};
+use mrtweb_docmodel::document::Document;
+use mrtweb_docmodel::lod::Lod;
+use mrtweb_erasure::packet::Frame;
+use mrtweb_textproc::pipeline::ScPipeline;
+use mrtweb_transport::live::{ClientEvent, LiveClient, LiveServer};
+use mrtweb_transport::plan::{plan_document, TransmissionPlan, UnitSlice};
 use mrtweb_transport::receiver::ReceiverState;
 use mrtweb_transport::session::{download, CacheMode, Outcome, Relevance, SessionConfig};
 
@@ -19,6 +26,42 @@ fn slices_strategy() -> impl Strategy<Value = Vec<UnitSlice>> {
             .map(|(i, (bytes, c))| UnitSlice::new(format!("u{i}"), bytes, c / total))
             .collect()
     })
+}
+
+/// `0..n` in a pseudo-random order fixed by `seed`.
+fn shuffled(n: usize, seed: u64) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..n).collect();
+    let mut state = seed | 1;
+    for i in (1..n).rev() {
+        // xorshift64 is plenty for test shuffling.
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        order.swap(i, (state as usize) % (i + 1));
+    }
+    order
+}
+
+/// A small two-section document served at `lod`, with the payload its
+/// plan lays out.
+fn live_fixture(lod: Lod, min_packet: usize, gamma: f64) -> (LiveServer, Vec<u8>) {
+    let doc = Document::parse_xml(
+        "<document>\
+         <section><title>Mobile Web</title>\
+         <paragraph>mobile browsing over wireless channels needs bandwidth care</paragraph>\
+         <paragraph>clients cache cooked packets against corruption</paragraph></section>\
+         <section><title>Background</title>\
+         <paragraph>databases indexes storage engines and other prose</paragraph></section>\
+         </document>",
+    )
+    .unwrap();
+    let pipeline = ScPipeline::default();
+    let index = pipeline.run(&doc);
+    let query = Query::parse("mobile wireless", &pipeline);
+    let sc = StructuralCharacteristic::from_index(&index, Some(&query));
+    let (_, payload) = plan_document(&doc, &sc, lod, Measure::Qic);
+    let server = LiveServer::new_auto(&doc, &sc, lod, Measure::Qic, min_packet, gamma).unwrap();
+    (server, payload)
 }
 
 proptest! {
@@ -147,5 +190,62 @@ proptest! {
             Link::new(Bandwidth::from_kbps(19.2), BernoulliChannel::new(alpha, seed), 0);
         let r = download(&plan, Relevance::relevant(), &config, &mut link);
         prop_assert_eq!(r.outcome, Outcome::Completed);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 64, ..Default::default() })]
+
+    /// The live client rebuilds the planned payload from any M intact
+    /// frames arriving in any order amid corrupt, duplicate,
+    /// out-of-range and wrong-length frames, reports it exactly once,
+    /// and does it again after a reset and re-delivery.
+    #[test]
+    fn live_client_rebuilds_payload_from_shuffled_noisy_frames(
+        lod_pick in 0usize..3,
+        min_packet in 1usize..40,
+        gamma in 1.0f64..2.5,
+        lose_seed in any::<u64>(),
+        order_seed in any::<u64>(),
+        noise in 0usize..24,
+    ) {
+        let lod = [Lod::Document, Lod::Section, Lod::Paragraph][lod_pick];
+        let (server, payload) = live_fixture(lod, min_packet, gamma);
+        let header = server.header().clone();
+        let (m, n) = (header.m, header.n);
+
+        // Lose up to N − M packets outright; the rest arrive intact.
+        let order = shuffled(n, lose_seed);
+        let (lost, kept) = order.split_at((lose_seed as usize >> 32) % (n - m + 1));
+        let frame = |i: usize| server.frame_bytes(i).unwrap().to_vec();
+        let mut wire: Vec<Vec<u8>> = kept.iter().map(|&i| frame(i)).collect();
+        for k in 0..noise {
+            let i = order[(k * 7 + 3) % n];
+            let mut bad = frame(i);
+            let at = (k * 13) % bad.len();
+            bad[at] ^= 1 + (k as u8 % 255);
+            wire.push(bad); // corrupt: any single-byte flip fails the CRC
+            if !lost.contains(&i) {
+                wire.push(frame(i)); // duplicate
+            }
+            wire.push(Frame::new((n + k) as u16, vec![k as u8; header.packet_size]).to_wire().to_vec());
+            wire.push(frame(i)[1..].to_vec()); // wrong length
+        }
+
+        let mut client = LiveClient::new(header).unwrap();
+        for round_seed in [order_seed, !order_seed] {
+            let mut completions = 0;
+            for w in shuffled(wire.len(), round_seed) {
+                completions += client
+                    .on_wire(&wire[w])
+                    .iter()
+                    .filter(|e| matches!(e, ClientEvent::Reconstructed))
+                    .count();
+            }
+            prop_assert_eq!(completions, 1);
+            prop_assert_eq!(client.document_bytes(), Some(payload.as_slice()));
+            client.reset();
+            prop_assert_eq!(client.document_bytes(), None);
+        }
     }
 }
