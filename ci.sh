@@ -19,7 +19,8 @@
 #                  engine only, unsafe code forbidden crate-wide)
 #   perfbench      the repository benchmark (its own workspace under
 #                  perfbench/) builds and passes its unit tests against
-#                  the current crate APIs
+#                  the current crate APIs, plus its ignored put-vs-rank
+#                  race test
 #   faults         fault-injection matrix (every faultrun scenario x seeds)
 #   proxy-smoke    event-engine serve + loadgen over loopback,
 #                  closed sweep up to C=1024 -> BENCH_proxy.json
@@ -142,6 +143,11 @@ stage_perfbench() {
   echo "==> perfbench: release build + unit tests (own workspace, path deps on the crates)"
   cargo build --release --offline --manifest-path perfbench/Cargo.toml
   cargo test -q --offline --manifest-path perfbench/Cargo.toml
+  # perfbench marks its put-vs-rank race test ignored; run it by name so
+  # the store's fix (an SC ranked from a replaced version is never
+  # cached under its successor) stays pinned.
+  cargo test --release --offline --manifest-path perfbench/Cargo.toml -- \
+    --ignored a_put_racing_a_ranking_leaves_the_new_document_correctly_ranked
 }
 
 stage_faults() {

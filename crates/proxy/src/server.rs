@@ -771,8 +771,8 @@ pub(crate) fn book_faults<L: mrtweb_channel::loss::LossModel>(
 
 /// HELLO → prepared [`LiveServer`], with gateway failures mapped to
 /// wire error codes. Served through the gateway's edge cache when the
-/// base station has one attached (a hit re-frames the at-rest cooked
-/// blob with zero codec work), and through the shared
+/// base station has one attached (a hit shares the frames built when
+/// the blob was admitted, with zero codec work), and through the shared
 /// prepared-transmission cache otherwise: concurrent and repeat
 /// sessions for one request shape replay a single encode either way.
 pub(crate) fn prepare(

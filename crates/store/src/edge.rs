@@ -4,16 +4,18 @@
 //! clients win or lose; this module keeps *cooked* transmissions there
 //! so a repeat request never touches the erasure codec. The at-rest
 //! format is the MRTB dispersed blob ([`crate::codec::encode_dispersed`])
-//! — encoding happens exactly once, at admission, and every later hit
-//! re-frames the stored cooked packets for the wire (zero
-//! `EncodeSpan`s by construction).
+//! — encoding happens exactly once, before admission, and framing for
+//! the wire once per admission or re-hydration; a hit hands out the
+//! resident [`LiveServer`] itself (zero `EncodeSpan`s, zero copies).
 //!
 //! Structure:
 //!
-//! * **memory** — serve-ready cooked packets under a byte budget, in a
-//!   two-segment (probation/protected) LRU; eviction is planned by
+//! * **memory** — one pre-framed [`LiveServer`] per entry under a byte
+//!   budget counted in cooked payload bytes, in a two-segment
+//!   (probation/protected) LRU; eviction is planned by
 //!   [`crate::evict::plan_eviction`], which sheds low-IC parity first
-//!   and pins hot clear-text prefixes longest;
+//!   and pins hot clear-text prefixes longest. Trimming swaps in a
+//!   smaller server; sessions already serving keep the one they hold;
 //! * **disk** — the full blob, written temp-file-and-rename at
 //!   admission; a trimmed or flushed entry re-hydrates from it, and a
 //!   rotted record is skipped (any `M` intact packets still serve);
@@ -26,6 +28,7 @@ use std::fs;
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use parking_lot::Mutex;
 
@@ -33,16 +36,16 @@ use mrtweb_content::sc::Measure;
 use mrtweb_docmodel::lod::Lod;
 use mrtweb_obs::clock::now_nanos;
 use mrtweb_obs::{emit, hist::Histogram, EventKind, Span};
-use mrtweb_transport::live::DocumentHeader;
+use mrtweb_transport::live::{DocumentHeader, LiveServer};
 
 use crate::codec::{BlobPackets, CodecError};
 use crate::disk::fnv1a;
 use crate::evict::{plan_eviction, Action, Resident, Segment};
 use crate::gateway::Request;
 
-/// Everything that shapes a cached transmission — the edge analogue of
-/// the gateway's prepared-transmission key, public so migration records
-/// can carry it between cells.
+/// Everything that shapes a cached transmission — the key of both this
+/// cache and the gateway's prepared-transmission map, public so
+/// migration records can carry it between cells.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct EdgeKey {
     /// Document URL.
@@ -120,16 +123,15 @@ impl From<CodecError> for EdgeError {
     }
 }
 
-/// A serve-ready cached transmission: the header plus the cooked
-/// packets still held intact (`None` = trimmed or rotted; any `M`
-/// present packets reconstruct). Feed it to
-/// [`mrtweb_transport::live::LiveServer::from_cooked`].
+/// A serve-ready cached transmission: the entry's pre-framed server,
+/// shared with the cache and every other session serving it. It holds
+/// at least `M` frames (trimmed or rotted packets are not held; any `M`
+/// reconstruct).
 #[derive(Debug, Clone)]
 pub struct EdgeServed {
-    /// The control-channel header, including the transmission plan.
-    pub header: DocumentHeader,
-    /// Cooked packet payloads by sequence index, length `n`.
-    pub packets: Vec<Option<Vec<u8>>>,
+    /// The transmission, framed once when the entry was admitted or
+    /// re-hydrated.
+    pub server: Arc<LiveServer>,
     /// The store generation the blob was cooked from
     /// ([`EdgeCache::admit_from_store`]), or `None` for entries the
     /// edge holds authoritatively (a migrated blob from another cell).
@@ -164,13 +166,14 @@ pub struct EdgeStats {
     pub entries: usize,
 }
 
-/// One resident entry: serve-ready packets in memory, full blob on disk.
+/// One resident entry: a serve-ready server in memory, full blob on
+/// disk.
 #[derive(Debug)]
 struct Entry {
-    header: DocumentHeader,
-    /// Cooked packets by sequence; `None` = trimmed from memory or
-    /// rotted at rest. Indices `0..m` are the clear-text prefix.
-    packets: Vec<Option<Vec<u8>>>,
+    /// The framed transmission; a frame it does not hold was trimmed
+    /// from memory or rotted at rest. Indices `0..m` are the clear-text
+    /// prefix.
+    server: Arc<LiveServer>,
     /// Store generation the blob was cooked from; `None` = the edge
     /// holds this entry authoritatively (migrated from another cell).
     origin: Option<u64>,
@@ -179,21 +182,18 @@ struct Entry {
 }
 
 impl Entry {
+    /// Resident cooked payload bytes: the budget's unit.
     fn resident_bytes(&self) -> usize {
-        self.packets.iter().flatten().map(Vec::len).sum()
-    }
-
-    fn resident_intact(&self) -> usize {
-        self.packets.iter().flatten().count()
+        self.server.held() * self.server.header().packet_size
     }
 
     fn as_resident(&self) -> Resident {
-        let ps = self.header.packet_size;
-        let clear = self.packets[..self.header.m.min(self.packets.len())]
-            .iter()
-            .flatten()
+        let header = self.server.header();
+        let ps = header.packet_size;
+        let clear = (0..header.m)
+            .filter(|&i| self.server.frame_bytes(i).is_some())
             .count();
-        let parity = self.resident_intact() - clear;
+        let parity = self.server.held() - clear;
         Resident {
             segment: self.segment,
             last_used: self.last_used,
@@ -210,9 +210,43 @@ struct Inner {
     entries: HashMap<EdgeKey, Entry>,
     /// Monotone use tick driving the LRU ordering.
     tick: u64,
-    /// Keys whose entries were fully evicted since the last drain —
-    /// the gateway consumes this to invalidate prepared transmissions.
-    evicted: Vec<EdgeKey>,
+    /// Sum of [`Entry::resident_bytes`] over `entries`.
+    resident: usize,
+}
+
+impl Inner {
+    fn insert(&mut self, key: EdgeKey, entry: Entry) {
+        self.resident += entry.resident_bytes();
+        if let Some(old) = self.entries.insert(key, entry) {
+            self.resident -= old.resident_bytes();
+        }
+    }
+
+    fn remove(&mut self, key: &EdgeKey) -> Option<Entry> {
+        let entry = self.entries.remove(key)?;
+        self.resident -= entry.resident_bytes();
+        Some(entry)
+    }
+
+    /// Swaps in a re-hydrated server for `key`.
+    fn set_server(&mut self, key: &EdgeKey, server: Arc<LiveServer>) {
+        if let Some(entry) = self.entries.get_mut(key) {
+            self.resident -= entry.resident_bytes();
+            entry.server = server;
+            self.resident += entry.resident_bytes();
+        }
+    }
+
+    /// Drops the frames of `key`'s server that fail `keep`; returns how
+    /// many were dropped.
+    fn retain_frames(&mut self, key: &EdgeKey, keep: impl Fn(usize) -> bool) -> usize {
+        let Some(entry) = self.entries.get_mut(key) else {
+            return 0;
+        };
+        let dropped = LiveServer::retain_frames(&mut entry.server, keep);
+        self.resident -= dropped * entry.server.header().packet_size;
+        dropped
+    }
 }
 
 /// A bounded, disk-backed cache of cooked dispersed blobs.
@@ -272,8 +306,7 @@ impl EdgeCache {
     /// Bytes currently resident in memory.
     #[must_use]
     pub fn resident_bytes(&self) -> usize {
-        let inner = self.inner.lock();
-        inner.entries.values().map(Entry::resident_bytes).sum()
+        self.inner.lock().resident
     }
 
     /// Whether `key` has a resident entry.
@@ -345,8 +378,9 @@ impl EdgeCache {
     ///
     /// # Errors
     ///
-    /// [`EdgeError::Codec`] if the blob does not parse or disagrees
-    /// with `header`; [`EdgeError::Io`] on disk failure.
+    /// [`EdgeError::Codec`] if the blob does not parse, disagrees with
+    /// `header`, or holds fewer than `M` intact packets;
+    /// [`EdgeError::Io`] on disk failure.
     pub fn admit(
         &self,
         key: EdgeKey,
@@ -381,7 +415,25 @@ impl EdgeCache {
         blob: &[u8],
         origin: Option<u64>,
     ) -> Result<bool, EdgeError> {
-        let admitted = self.try_admit(key, header, blob, origin);
+        let admitted = frame_blob(header, blob)
+            .and_then(|server| self.try_admit(key, Arc::new(server), blob, origin));
+        self.tally(admitted)
+    }
+
+    /// Like [`EdgeCache::admit_from_store`], for a blob the caller has
+    /// already framed into `server` (the gateway's miss path): the entry
+    /// and the caller's session share that one server.
+    pub(crate) fn admit_framed(
+        &self,
+        key: EdgeKey,
+        server: Arc<LiveServer>,
+        blob: &[u8],
+        generation: u64,
+    ) -> Result<bool, EdgeError> {
+        self.tally(self.try_admit(key, server, blob, Some(generation)))
+    }
+
+    fn tally(&self, admitted: Result<bool, EdgeError>) -> Result<bool, EdgeError> {
         if admitted.is_err() {
             // ORDERING: monitoring tally only.
             self.admit_failures.fetch_add(1, Ordering::Relaxed);
@@ -392,24 +444,12 @@ impl EdgeCache {
     fn try_admit(
         &self,
         key: EdgeKey,
-        header: DocumentHeader,
+        server: Arc<LiveServer>,
         blob: &[u8],
         origin: Option<u64>,
     ) -> Result<bool, EdgeError> {
-        let view = BlobPackets::parse(blob)?;
-        if view.m() != header.m
-            || view.n() != header.n
-            || view.packet_size() != header.packet_size
-            || view.doc_len() != header.doc_len
-            || view.groups() != 1
-            || header.plan.total_bytes() != header.doc_len
-        {
-            return Err(EdgeError::Codec(CodecError(
-                "blob disagrees with transmission header",
-            )));
-        }
-        let clear_bytes = header.m.saturating_mul(header.packet_size);
-        if clear_bytes > self.byte_budget {
+        let header = server.header();
+        if header.m.saturating_mul(header.packet_size) > self.byte_budget {
             return Ok(false);
         }
         let path = self.blob_path(&key);
@@ -420,15 +460,13 @@ impl EdgeCache {
             f.sync_all()?;
         }
         fs::rename(&tmp, &path)?;
-        let packets = hydrate(&view);
         let mut inner = self.inner.lock();
         inner.tick += 1;
         let tick = inner.tick;
-        inner.entries.insert(
+        inner.insert(
             key,
             Entry {
-                header,
-                packets,
+                server,
                 origin,
                 segment: Segment::Probation,
                 last_used: tick,
@@ -438,14 +476,14 @@ impl EdgeCache {
         Ok(true)
     }
 
-    /// Looks `key` up and returns a serve-ready transmission, or `None`
-    /// on a miss. A hit touches the entry (probation → protected on
-    /// re-reference) and never invokes the erasure codec; if memory
-    /// holds fewer than `M` intact packets the entry re-hydrates from
-    /// its on-disk blob, skipping rotted records. An entry that cannot
-    /// reach `M` even from disk is dropped (and reported through
-    /// [`EdgeCache::drain_evicted`]) — the request falls back to the
-    /// encode path.
+    /// Looks `key` up and returns its serve-ready transmission, or
+    /// `None` on a miss. A hit touches the entry (probation → protected
+    /// on re-reference), never invokes the erasure codec and copies
+    /// nothing: it hands out the entry's shared server. If memory holds
+    /// fewer than `M` intact packets the entry re-hydrates from its
+    /// on-disk blob, skipping rotted records. An entry that cannot
+    /// reach `M` even from disk is dropped — the request falls back to
+    /// the encode path.
     #[must_use]
     pub fn serve(&self, key: &EdgeKey) -> Option<EdgeServed> {
         let t0 = now_nanos();
@@ -459,48 +497,32 @@ impl EdgeCache {
             span.end(0);
             return None;
         };
-        let m = entry.header.m;
-        if entry.resident_intact() < m {
+        let m = entry.server.header().m;
+        if entry.server.held() < m {
             // Trimmed or flushed below the any-M margin: re-hydrate
             // from the at-rest blob. Disk I/O under the lock is the
             // rare path (only after budget pressure or rot), and keeps
-            // the entry state transition atomic.
-            let want = entry.header.clone();
-            let rehydrated = fs::read(self.blob_path(key)).ok().and_then(|blob| {
-                let view = BlobPackets::parse(&blob).ok()?;
-                // Same cross-check as admission: blob filenames are a
-                // 64-bit hash, so a colliding key's blob (or any
-                // swapped file) must not hydrate under this entry's
-                // header — treat a mismatch like at-rest rot.
-                (view.m() == want.m
-                    && view.n() == want.n
-                    && view.packet_size() == want.packet_size
-                    && view.doc_len() == want.doc_len
-                    && view.groups() == 1)
-                    .then(|| hydrate(&view))
-            });
-            let entry = inner
-                .entries
-                .get_mut(key)
-                .unwrap_or_else(|| unreachable!("entry held under the same lock"));
-            match rehydrated {
-                Some(packets) if packets.iter().flatten().count() >= m => {
-                    entry.packets = packets;
-                }
-                _ => {
-                    // The blob rotted below M (or vanished): the entry
-                    // is unservable; drop it so the gateway invalidates
-                    // any prepared transmission built from it.
-                    inner.entries.remove(key);
-                    inner.evicted.push(key.clone());
-                    drop(inner);
-                    // ORDERING: monitoring tally only.
-                    self.misses.fetch_add(1, Ordering::Relaxed);
-                    emit(EventKind::EdgeMiss, 1, 0);
-                    span.end(0);
-                    return None;
-                }
-            }
+            // the entry state transition atomic. The blob is checked
+            // against the entry's header like at admission: blob
+            // filenames are a 64-bit hash, so a colliding key's blob
+            // (or any swapped file) must not hydrate under this entry —
+            // a mismatch counts as at-rest rot.
+            let header = entry.server.header().clone();
+            let rehydrated = fs::read(self.blob_path(key))
+                .ok()
+                .and_then(|blob| frame_blob(header, &blob).ok());
+            let Some(server) = rehydrated else {
+                // The blob rotted below M (or vanished): the entry is
+                // unservable; drop it.
+                inner.remove(key);
+                drop(inner);
+                // ORDERING: monitoring tally only.
+                self.misses.fetch_add(1, Ordering::Relaxed);
+                emit(EventKind::EdgeMiss, 1, 0);
+                span.end(0);
+                return None;
+            };
+            inner.set_server(key, Arc::new(server));
             self.enforce_budget(&mut inner);
             if !inner.entries.contains_key(key) {
                 // Budget pressure evicted the freshly re-hydrated entry
@@ -522,53 +544,39 @@ impl EdgeCache {
         entry.last_used = tick;
         entry.segment = Segment::Protected;
         let served = EdgeServed {
-            header: entry.header.clone(),
-            packets: entry.packets.clone(),
+            server: Arc::clone(&entry.server),
             origin: entry.origin,
         };
-        let intact = entry.resident_intact() as u64;
         drop(inner);
         // ORDERING: monitoring tally only.
         self.hits.fetch_add(1, Ordering::Relaxed);
-        emit(EventKind::EdgeHit, intact, m as u64);
+        emit(EventKind::EdgeHit, served.server.held() as u64, m as u64);
         self.hit_ns.record(now_nanos().saturating_sub(t0));
         span.end(1);
         Some(served)
     }
 
-    /// Drops every entry's packets from memory (blobs stay on disk), so
+    /// Drops every entry's frames from memory (blobs stay on disk), so
     /// the next serve must re-hydrate — a deterministic way to exercise
     /// the disk path in tests and the fault harness.
     pub fn flush_resident(&self) {
-        let mut inner = self.inner.lock();
+        let inner = &mut *self.inner.lock();
         for entry in inner.entries.values_mut() {
-            for p in &mut entry.packets {
-                *p = None;
-            }
+            LiveServer::retain_frames(&mut entry.server, |_| false);
         }
+        inner.resident = 0;
     }
 
-    /// Removes `key` entirely (memory + disk). Reported through
-    /// [`EdgeCache::drain_evicted`] like a budget eviction.
+    /// Removes `key` entirely (memory + disk), like a budget eviction.
     pub fn remove(&self, key: &EdgeKey) {
         let mut inner = self.inner.lock();
-        if let Some(entry) = inner.entries.remove(key) {
-            let freed = entry.resident_bytes();
-            inner.evicted.push(key.clone());
+        if let Some(entry) = inner.remove(key) {
             drop(inner);
             let _ = fs::remove_file(self.blob_path(key));
             // ORDERING: monitoring tally only.
             self.evictions.fetch_add(1, Ordering::Relaxed);
-            emit(EventKind::EdgeEvict, freed as u64, 1);
+            emit(EventKind::EdgeEvict, entry.resident_bytes() as u64, 1);
         }
-    }
-
-    /// Keys fully evicted since the last call — the gateway drains this
-    /// to drop prepared transmissions built from entries that no longer
-    /// exist.
-    #[must_use]
-    pub fn drain_evicted(&self) -> Vec<EdgeKey> {
-        std::mem::take(&mut self.inner.lock().evicted)
     }
 
     /// Reads the at-rest blob for `key`, with its header — the payload a
@@ -577,7 +585,7 @@ impl EdgeCache {
     pub fn export_blob(&self, key: &EdgeKey) -> Option<(DocumentHeader, Vec<u8>)> {
         let header = {
             let inner = self.inner.lock();
-            inner.entries.get(key)?.header.clone()
+            inner.entries.get(key)?.server.header().clone()
         };
         let blob = fs::read(self.blob_path(key)).ok()?;
         // ORDERING: monitoring tally only.
@@ -609,47 +617,50 @@ impl EdgeCache {
     /// planner's actions: parity trims first, whole evictions last.
     /// Caller holds the lock.
     fn enforce_budget(&self, inner: &mut Inner) {
-        let resident: usize = inner.entries.values().map(Entry::resident_bytes).sum();
-        if resident <= self.byte_budget {
+        if inner.resident <= self.byte_budget {
             return;
         }
-        let excess = resident - self.byte_budget;
-        let keys: Vec<EdgeKey> = inner.entries.keys().cloned().collect();
-        let snapshot: Vec<Resident> = keys
+        let excess = inner.resident - self.byte_budget;
+        let (keys, snapshot): (Vec<&EdgeKey>, Vec<Resident>) = inner
+            .entries
             .iter()
-            .map(|k| inner.entries[k].as_resident())
+            .map(|(k, e)| (k, e.as_resident()))
+            .unzip();
+        let plan: Vec<(EdgeKey, Action)> = plan_eviction(&snapshot, excess)
+            .into_iter()
+            .map(|action| {
+                let (Action::TrimParity { victim, .. } | Action::Evict { victim }) = action;
+                (keys[victim].clone(), action)
+            })
             .collect();
-        for action in plan_eviction(&snapshot, excess) {
+        for (key, action) in plan {
             match action {
-                Action::TrimParity { victim, packets } => {
-                    let Some(entry) = inner.entries.get_mut(&keys[victim]) else {
+                Action::TrimParity { packets, .. } => {
+                    let Some(entry) = inner.entries.get(&key) else {
                         continue;
                     };
-                    let m = entry.header.m;
-                    let mut left = packets;
-                    let mut freed = 0usize;
-                    for slot in entry.packets.iter_mut().skip(m).rev() {
-                        if left == 0 {
-                            break;
-                        }
-                        if let Some(p) = slot.take() {
-                            freed += p.len();
-                            left -= 1;
-                        }
-                    }
-                    let trimmed = (packets - left) as u64;
+                    // The `packets` highest held parity frames go: every
+                    // held frame from the lowest of them up.
+                    let server = &entry.server;
+                    let (m, n) = (server.header().m, server.header().n);
+                    let cut = (m..n)
+                        .rev()
+                        .filter(|&i| server.frame_bytes(i).is_some())
+                        .take(packets)
+                        .last()
+                        .unwrap_or(n);
+                    let ps = server.header().packet_size as u64;
+                    let trimmed = inner.retain_frames(&key, |i| i < cut) as u64;
                     // ORDERING: monitoring tally only.
                     self.trimmed_packets.fetch_add(trimmed, Ordering::Relaxed);
-                    emit(EventKind::EdgeEvict, freed as u64, 0);
+                    emit(EventKind::EdgeEvict, trimmed * ps, 0);
                 }
-                Action::Evict { victim } => {
-                    if let Some(entry) = inner.entries.remove(&keys[victim]) {
-                        let freed = entry.resident_bytes();
-                        inner.evicted.push(keys[victim].clone());
-                        let _ = fs::remove_file(self.blob_path(&keys[victim]));
+                Action::Evict { .. } => {
+                    if let Some(entry) = inner.remove(&key) {
+                        let _ = fs::remove_file(self.blob_path(&key));
                         // ORDERING: monitoring tally only.
                         self.evictions.fetch_add(1, Ordering::Relaxed);
-                        emit(EventKind::EdgeEvict, freed as u64, 1);
+                        emit(EventKind::EdgeEvict, entry.resident_bytes() as u64, 1);
                     }
                 }
             }
@@ -657,12 +668,29 @@ impl EdgeCache {
     }
 }
 
-/// Extracts the intact cooked packets of a (single-group) blob view;
-/// rotted records come back `None`.
-fn hydrate(view: &BlobPackets<'_>) -> Vec<Option<Vec<u8>>> {
-    (0..view.n())
-        .map(|i| view.is_intact(0, i).then(|| view.packet(0, i).to_vec()))
-        .collect()
+/// Parses `blob`, checks it against `header`, and frames its intact
+/// packets (rotted records are not held) into a server.
+///
+/// # Errors
+///
+/// [`EdgeError::Codec`] if the blob does not parse, disagrees with
+/// `header`, or holds fewer than `M` intact packets.
+pub(crate) fn frame_blob(header: DocumentHeader, blob: &[u8]) -> Result<LiveServer, EdgeError> {
+    let view = BlobPackets::parse(blob)?;
+    if view.m() != header.m
+        || view.n() != header.n
+        || view.packet_size() != header.packet_size
+        || view.doc_len() != header.doc_len
+        || view.groups() != 1
+        || header.plan.total_bytes() != header.doc_len
+    {
+        return Err(EdgeError::Codec(CodecError(
+            "blob disagrees with transmission header",
+        )));
+    }
+    let payloads = (0..view.n()).map(|i| view.is_intact(0, i).then(|| view.packet(0, i)));
+    LiveServer::from_payloads(header, payloads)
+        .map_err(|_| EdgeError::Codec(CodecError("blob holds fewer than M intact packets")))
 }
 
 #[cfg(test)]
@@ -671,7 +699,7 @@ mod tests {
     use crate::codec::encode_dispersed;
     use mrtweb_content::sc::StructuralCharacteristic;
     use mrtweb_docmodel::document::Document;
-    use mrtweb_transport::live::LiveServer;
+    use mrtweb_transport::live::frame_wire;
     use mrtweb_transport::plan::plan_document;
 
     fn temp_dir(tag: &str) -> PathBuf {
@@ -726,11 +754,13 @@ mod tests {
         let (key, header, blob) = fixture(64, 1.5);
         assert!(cache.admit(key.clone(), header.clone(), &blob).unwrap());
         let served = cache.serve(&key).unwrap();
-        assert_eq!(served.header, header);
-        assert_eq!(served.packets.len(), header.n);
-        assert!(served.packets.iter().all(Option::is_some));
-        let srv = LiveServer::from_cooked(served.header, served.packets).unwrap();
-        assert_eq!(srv.header().m, header.m);
+        assert_eq!(*served.server.header(), header);
+        assert_eq!(served.server.held(), header.n);
+        let view = BlobPackets::parse(&blob).unwrap();
+        for i in 0..header.n {
+            let want = frame_wire(i as u16, view.packet(0, i));
+            assert_eq!(served.server.frame_bytes(i), Some(&want[..]));
+        }
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses), (1, 0));
         fs::remove_dir_all(&dir).unwrap();
@@ -786,7 +816,68 @@ mod tests {
         cache.admit(key.clone(), header.clone(), &blob).unwrap();
         cache.flush_resident();
         let served = cache.serve(&key).unwrap();
-        assert_eq!(served.packets.iter().flatten().count(), header.n);
+        assert_eq!(served.server.held(), header.n);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn rehydrated_frames_are_byte_identical_to_the_admitted_ones() {
+        let dir = temp_dir("reframe");
+        let cache = EdgeCache::new(&dir, 1 << 20).unwrap();
+        let (key, header, blob) = fixture(64, 1.5);
+        cache.admit(key.clone(), header.clone(), &blob).unwrap();
+        let first = cache.serve(&key).unwrap().server;
+        cache.flush_resident();
+        assert_eq!(cache.resident_bytes(), 0);
+        // The session holding `first` keeps every frame it was served.
+        assert_eq!(first.held(), header.n);
+        let again = cache.serve(&key).unwrap().server;
+        assert!(!Arc::ptr_eq(&first, &again), "re-hydration frames anew");
+        assert_eq!(again.header(), first.header());
+        for i in 0..header.n {
+            assert_eq!(again.frame_bytes(i), first.frame_bytes(i), "frame {i}");
+        }
+        assert_eq!(cache.resident_bytes(), header.n * header.packet_size);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_trim_leaves_the_frames_a_session_holds_intact() {
+        let dir = temp_dir("trim-held");
+        let (key, header, blob) = fixture(64, 2.0);
+        let (m, n, ps) = (header.m, header.n, header.packet_size);
+        assert!(
+            n - m >= 2,
+            "fixture needs two parity packets, has {}",
+            n - m
+        );
+        // Two clear prefixes and one parity packet: admitting a second
+        // entry trims all of its parity and all but one of the first's.
+        let budget = (2 * m + 1) * ps;
+        let cache = EdgeCache::new(&dir, budget).unwrap();
+        let k1 = EdgeKey {
+            url: "http://cell/1".into(),
+            ..key.clone()
+        };
+        let k2 = EdgeKey {
+            url: "http://cell/2".into(),
+            ..key
+        };
+        cache.admit(k1.clone(), header.clone(), &blob).unwrap();
+        let session = cache.serve(&k1).unwrap().server;
+        let frames: Vec<Vec<u8>> = (0..n)
+            .map(|i| session.frame_bytes(i).unwrap().to_vec())
+            .collect();
+        assert_eq!(cache.resident_bytes(), n * ps);
+        cache.admit(k2, header, &blob).unwrap();
+        assert_eq!(cache.resident_bytes(), budget);
+        let trimmed = cache.serve(&k1).unwrap().server;
+        assert_eq!(trimmed.held(), m + 1);
+        assert!(!Arc::ptr_eq(&session, &trimmed));
+        assert_eq!(session.held(), n);
+        for (i, frame) in frames.iter().enumerate() {
+            assert_eq!(session.frame_bytes(i), Some(&frame[..]), "frame {i}");
+        }
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -800,8 +891,7 @@ mod tests {
         fs::write(cache.blob_path(&key), b"MRTB").unwrap();
         cache.flush_resident();
         assert!(cache.serve(&key).is_none());
-        let evicted = cache.drain_evicted();
-        assert_eq!(evicted, vec![key]);
+        assert!(!cache.contains(&key));
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -823,7 +913,7 @@ mod tests {
         fs::write(cache.blob_path(&key), &other_blob).unwrap();
         cache.flush_resident();
         assert!(cache.serve(&key).is_none());
-        assert_eq!(cache.drain_evicted(), vec![key]);
+        assert!(!cache.contains(&key));
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -843,8 +933,8 @@ mod tests {
     }
 
     #[test]
-    fn eviction_reports_keys_for_invalidation() {
-        let dir = temp_dir("drain");
+    fn admission_over_budget_evicts_the_colder_entry() {
+        let dir = temp_dir("evict");
         let (key, header, blob) = fixture(64, 1.5);
         let budget = header.m * header.packet_size;
         let cache = EdgeCache::new(&dir, budget).unwrap();
@@ -861,8 +951,8 @@ mod tests {
         // Budget fits one clear prefix: admitting k2 evicted k1.
         assert!(!cache.contains(&k1));
         assert!(cache.contains(&k2));
-        assert_eq!(cache.drain_evicted(), vec![k1]);
-        assert!(cache.drain_evicted().is_empty());
+        assert!(!cache.blob_path(&k1).exists());
+        assert_eq!(cache.stats().evictions, 1);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -877,9 +967,12 @@ mod tests {
         let (h, exported) = a.export_blob(&key).unwrap();
         assert_eq!(exported, blob);
         assert!(b.admit_migrated(key.clone(), h, &exported).unwrap());
-        let sa = a.serve(&key).unwrap();
-        let sb = b.serve(&key).unwrap();
-        assert_eq!(sa.packets, sb.packets);
+        let sa = a.serve(&key).unwrap().server;
+        let sb = b.serve(&key).unwrap().server;
+        assert_eq!(sa.header(), sb.header());
+        for i in 0..sa.header().n {
+            assert_eq!(sa.frame_bytes(i), sb.frame_bytes(i));
+        }
         assert_eq!(a.stats().migrations_out, 1);
         assert_eq!(b.stats().migrations_in, 1);
         fs::remove_dir_all(&dir_a).unwrap();

@@ -6,6 +6,8 @@
 //! `(url, query, LOD, γ)` request it pulls the document and cached SC
 //! from the [`DocumentStore`] and hands back a ready
 //! [`LiveServer`], plus the plan metadata a sequence manager needs.
+//! With an [`EdgeCache`] attached, the edge is the only transmission
+//! cache: a hit is a shared handle to the frames its miss built.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -19,8 +21,8 @@ use mrtweb_erasure::Error as ErasureError;
 use mrtweb_transport::live::{DocumentHeader, LiveServer};
 use mrtweb_transport::plan::plan_document;
 
-use crate::codec::{encode_dispersed, BlobPackets};
-use crate::edge::{EdgeCache, EdgeError, EdgeKey};
+use crate::codec::encode_dispersed;
+use crate::edge::{frame_blob, EdgeCache, EdgeError, EdgeKey};
 use crate::store::DocumentStore;
 
 /// A transmission request.
@@ -138,51 +140,26 @@ impl From<EdgeError> for GatewayError {
     }
 }
 
-/// Cache key for a prepared transmission: everything that shapes the
-/// cooked frames. The document itself is checked by pointer identity
-/// in the cached value, so a `put` over the same URL invalidates.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct PreparedKey {
-    url: String,
-    query: String,
-    lod: Lod,
-    measure: Measure,
-    packet_size: usize,
-    gamma_bits: u64,
-}
-
-impl PreparedKey {
-    fn of(request: &Request) -> Self {
-        PreparedKey {
-            url: request.url.clone(),
-            query: request.query.clone(),
-            lod: request.lod,
-            measure: request.measure,
-            packet_size: request.packet_size,
-            gamma_bits: request.gamma.to_bits(),
-        }
-    }
-}
-
 /// Bound on distinct request shapes the gateway keeps prepared.
 const PREPARED_CACHE_CAP: usize = 64;
 
 /// A cached prepared transmission, pinned to the exact document it was
-/// encoded from so replacement in the store invalidates the entry.
+/// encoded from so replacement in the store invalidates the entry. Keyed
+/// by [`EdgeKey`], the same request shape the edge cache keys on.
 type PreparedEntry = (Arc<Document>, Arc<LiveServer>);
 
 /// The serving side of the prototype.
 #[derive(Debug)]
 pub struct Gateway {
     store: Arc<DocumentStore>,
-    /// Prepared transmissions shared across concurrent sessions: the
-    /// cooked frames for a request shape are immutable, so every
-    /// session fetching the same document with the same parameters
-    /// replays one encode instead of redoing slicing, ranking, and
-    /// GF(2⁸) math per session. Each entry pins the source document so
-    /// a hit is honoured only while that exact document is still what
-    /// the store serves.
-    prepared: Mutex<HashMap<PreparedKey, PreparedEntry>>,
+    /// Prepared transmissions shared across concurrent sessions when no
+    /// edge cache is attached: the cooked frames for a request shape
+    /// are immutable, so every session fetching the same document with
+    /// the same parameters replays one encode instead of redoing
+    /// slicing, ranking, and GF(2⁸) math per session. Each entry pins
+    /// the source document so a hit is honoured only while that exact
+    /// document is still what the store serves.
+    prepared: Mutex<HashMap<EdgeKey, PreparedEntry>>,
     prepared_hits: AtomicU64,
     prepared_misses: AtomicU64,
     /// The base station's disk-backed cache of cooked blobs, when this
@@ -203,8 +180,7 @@ impl Gateway {
     }
 
     /// Attaches an edge cache: [`Gateway::prepare_edge`] will serve
-    /// cooked blobs from it, and its evictions invalidate this
-    /// gateway's prepared transmissions.
+    /// from it instead of the prepared-transmission map.
     #[must_use]
     pub fn with_edge(mut self, edge: Arc<EdgeCache>) -> Self {
         self.edge = Some(edge);
@@ -221,35 +197,6 @@ impl Gateway {
         &self.store
     }
 
-    /// Drops prepared transmissions whose documents left the edge
-    /// cache since the last call. An edge eviction means the cell no
-    /// longer vouches for those cooked bytes (budget pressure or
-    /// at-rest rot), so the prepared entry — same key shape — must not
-    /// keep serving them; the next request re-prepares from the store.
-    pub fn sync_edge_invalidations(&self) {
-        let Some(edge) = &self.edge else {
-            return;
-        };
-        let evicted = edge.drain_evicted();
-        if evicted.is_empty() {
-            return;
-        }
-        let mut map = self
-            .prepared
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        for k in evicted {
-            map.remove(&PreparedKey {
-                url: k.url,
-                query: k.query,
-                lod: k.lod,
-                measure: k.measure,
-                packet_size: k.packet_size,
-                gamma_bits: k.gamma_bits,
-            });
-        }
-    }
-
     /// `(hits, misses)` of the prepared-transmission cache.
     pub fn prepared_cache_counters(&self) -> (u64, u64) {
         (
@@ -260,22 +207,91 @@ impl Gateway {
         )
     }
 
-    /// Like [`Gateway::prepare`], but returns a shared handle served
-    /// from a bounded per-gateway cache: repeat requests for the same
-    /// `(url, query, lod, measure, packet size, γ)` reuse the already
-    /// encoded transmission. The cache is invalidated per entry when
-    /// the store's document for that URL is replaced.
+    /// Prepares a transmission through the edge cache. A hit hands out
+    /// the entry's pre-framed server: **zero** erasure-codec work (no
+    /// `EncodeSpan`) and no copy. A miss cooks the blob once (exactly
+    /// one encode), frames it once, and shares that server between this
+    /// response and the admitted entry. Returns the server and whether
+    /// it was a cache hit. Without an attached edge cache, repeat
+    /// requests share one prepared transmission from a bounded
+    /// per-gateway map instead (never a hit).
+    ///
+    /// A hit is honoured only while the store still holds the document
+    /// generation the blob was cooked from — replacing or deleting the
+    /// document invalidates the cached blob (migrated entries, which
+    /// the edge holds authoritatively, always serve). Cache-side
+    /// admission failures never fail the request: the response serves
+    /// from the just-cooked blob and the failure is only tallied.
     ///
     /// # Errors
     ///
-    /// Same as [`Gateway::prepare`].
-    pub fn prepare_shared(&self, request: &Request) -> Result<Arc<LiveServer>, GatewayError> {
-        self.sync_edge_invalidations();
+    /// Same as [`Gateway::prepare`], plus [`GatewayError::Edge`] if the
+    /// just-cooked blob fails to parse or frame (an internal invariant,
+    /// not a cache-disk condition).
+    pub fn prepare_edge(&self, request: &Request) -> Result<(Arc<LiveServer>, bool), GatewayError> {
+        let Some(edge) = &self.edge else {
+            return Ok((self.prepare_shared(request)?, false));
+        };
+        let key = EdgeKey::of(request);
+        if let Some(served) = edge.serve(&key) {
+            let fresh = match served.origin {
+                // Cooked from this cell's store: honoured only while
+                // the store still holds that exact document version.
+                Some(generation) => self.store.generation(&request.url) == Some(generation),
+                // Migrated from another cell: the edge copy is the
+                // authority (the roaming client's held packets came
+                // from these very bytes).
+                None => true,
+            };
+            if fresh {
+                return Ok((served.server, true));
+            }
+            // The document behind the blob was replaced or deleted:
+            // drop the stale entry and fall through to the miss path
+            // against the store's current state.
+            edge.remove(&key);
+        }
+        // Miss: cook the dispersed blob once; it is both the at-rest
+        // cache entry and the source of this response's frames.
+        let query = Query::parse(&request.query, self.store.pipeline());
+        let (doc, generation, sc) = self
+            .store
+            .ranked_document(&request.url, &query)
+            .ok_or_else(|| GatewayError::NotFound(request.url.clone()))?;
+        let (plan, payload) = plan_document(&doc, &sc, request.lod, request.measure);
+        let m = plan.raw_packets(request.packet_size);
+        let n = ((m as f64 * request.gamma).round() as usize).max(m);
+        let blob = encode_dispersed(&payload, m, n, request.packet_size).map_err(|_| {
+            GatewayError::Encoding(ErasureError::InvalidParameters { raw: m, cooked: n })
+        })?;
+        let header = DocumentHeader {
+            doc_len: payload.len(),
+            m,
+            n,
+            packet_size: request.packet_size,
+            plan,
+        };
+        let server = Arc::new(frame_blob(header, &blob)?);
+        // Admission may be refused (clear prefix alone over budget) or
+        // fail outright on the cache's own disk — either way the
+        // response still serves the frames just built; only the cache
+        // copy is lost. The cache tallies failures
+        // (`EdgeStats::admit_failures`).
+        let _ = edge.admit_framed(key, Arc::clone(&server), &blob, generation);
+        Ok((server, false))
+    }
+
+    /// The no-edge branch of [`Gateway::prepare_edge`]: repeat requests
+    /// for the same `(url, query, lod, measure, packet size, γ)` reuse
+    /// the already encoded transmission from a bounded per-gateway map,
+    /// invalidated per entry when the store's document for that URL is
+    /// replaced.
+    fn prepare_shared(&self, request: &Request) -> Result<Arc<LiveServer>, GatewayError> {
         let doc = self
             .store
             .document(&request.url)
             .ok_or_else(|| GatewayError::NotFound(request.url.clone()))?;
-        let key = PreparedKey::of(request);
+        let key = EdgeKey::of(request);
         if let Some((cached_doc, live)) = self
             .prepared
             .lock()
@@ -291,7 +307,8 @@ impl Gateway {
         }
         // ORDERING: same monitoring tally as the hit counter above.
         self.prepared_misses.fetch_add(1, Ordering::Relaxed);
-        let live = Arc::new(self.prepare(request)?);
+        let (doc, live) = self.prepare_with_document(request)?;
+        let live = Arc::new(live);
         let mut map = self
             .prepared
             .lock()
@@ -306,91 +323,6 @@ impl Gateway {
         Ok(live)
     }
 
-    /// Prepares a transmission through the edge cache: a hit re-frames
-    /// the cached cooked blob with **zero** erasure-codec work (no
-    /// `EncodeSpan`); a miss cooks the blob once (exactly one encode),
-    /// admits it, and serves from the same bytes. Returns the server
-    /// and whether it was a cache hit. Without an attached edge cache
-    /// this falls back to [`Gateway::prepare_shared`] (never a hit).
-    ///
-    /// A hit is honoured only while the store still holds the document
-    /// generation the blob was cooked from — replacing or deleting the
-    /// document invalidates the cached blob (migrated entries, which
-    /// the edge holds authoritatively, always serve). Cache-side
-    /// admission failures never fail the request: the response serves
-    /// from the just-cooked blob and the failure is only tallied.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Gateway::prepare`], plus [`GatewayError::Edge`] if the
-    /// just-cooked blob fails to re-parse (an internal invariant, not a
-    /// cache-disk condition).
-    pub fn prepare_edge(&self, request: &Request) -> Result<(Arc<LiveServer>, bool), GatewayError> {
-        let Some(edge) = &self.edge else {
-            return Ok((self.prepare_shared(request)?, false));
-        };
-        self.sync_edge_invalidations();
-        let key = EdgeKey::of(request);
-        if let Some(served) = edge.serve(&key) {
-            let fresh = match served.origin {
-                // Cooked from this cell's store: honoured only while
-                // the store still holds that exact document version.
-                Some(generation) => self.store.generation(&request.url) == Some(generation),
-                // Migrated from another cell: the edge copy is the
-                // authority (the roaming client's held packets came
-                // from these very bytes).
-                None => true,
-            };
-            if fresh {
-                let live = LiveServer::from_cooked(served.header, served.packets)?;
-                return Ok((Arc::new(live), true));
-            }
-            // The document behind the blob was replaced or deleted:
-            // drop the stale entry (which also invalidates any prepared
-            // transmission built from it) and fall through to the miss
-            // path against the store's current state.
-            edge.remove(&key);
-            self.sync_edge_invalidations();
-        }
-        // Miss: cook the dispersed blob once; it is both the at-rest
-        // cache entry and the source of this response's frames.
-        let (doc, generation) = self
-            .store
-            .document_with_generation(&request.url)
-            .ok_or_else(|| GatewayError::NotFound(request.url.clone()))?;
-        let query = Query::parse(&request.query, self.store.pipeline());
-        let sc = self
-            .store
-            .structural_characteristic(&request.url, &query)
-            .ok_or_else(|| GatewayError::NotFound(request.url.clone()))?;
-        let (plan, payload) = plan_document(&doc, &sc, request.lod, request.measure);
-        let m = plan.raw_packets(request.packet_size);
-        let n = ((m as f64 * request.gamma).round() as usize).max(m);
-        let blob = encode_dispersed(&payload, m, n, request.packet_size).map_err(|_| {
-            GatewayError::Encoding(ErasureError::InvalidParameters { raw: m, cooked: n })
-        })?;
-        let header = DocumentHeader {
-            doc_len: payload.len(),
-            m,
-            n,
-            packet_size: request.packet_size,
-            plan,
-        };
-        // Admission may be refused (clear prefix alone over budget) or
-        // fail outright on the cache's own disk — either way the
-        // response still serves from the blob just cooked; only the
-        // cache copy is lost. The cache tallies failures
-        // (`EdgeStats::admit_failures`).
-        let _ = edge.admit_from_store(key, header.clone(), &blob, generation);
-        let view =
-            BlobPackets::parse(&blob).map_err(|e| GatewayError::Edge(EdgeError::Codec(e)))?;
-        let packets = (0..view.n())
-            .map(|i| view.is_intact(0, i).then(|| view.packet(0, i).to_vec()))
-            .collect();
-        let live = LiveServer::from_cooked(header, packets)?;
-        Ok((Arc::new(live), false))
-    }
-
     /// Prepares a live transmission for a request.
     ///
     /// # Errors
@@ -399,23 +331,29 @@ impl Gateway {
     /// [`GatewayError::Encoding`] when the document needs more than 256
     /// cooked packets at the requested packet size.
     pub fn prepare(&self, request: &Request) -> Result<LiveServer, GatewayError> {
-        let doc = self
-            .store
-            .document(&request.url)
-            .ok_or_else(|| GatewayError::NotFound(request.url.clone()))?;
+        Ok(self.prepare_with_document(request)?.1)
+    }
+
+    /// [`Gateway::prepare`], also returning the document version the
+    /// transmission was encoded from.
+    fn prepare_with_document(
+        &self,
+        request: &Request,
+    ) -> Result<(Arc<Document>, LiveServer), GatewayError> {
         let query = Query::parse(&request.query, self.store.pipeline());
-        let sc = self
+        let (doc, _, sc) = self
             .store
-            .structural_characteristic(&request.url, &query)
+            .ranked_document(&request.url, &query)
             .ok_or_else(|| GatewayError::NotFound(request.url.clone()))?;
-        Ok(LiveServer::new(
+        let live = LiveServer::new(
             &doc,
             &sc,
             request.lod,
             request.measure,
             request.packet_size,
             request.gamma,
-        )?)
+        )?;
+        Ok((doc, live))
     }
 }
 
@@ -578,19 +516,34 @@ mod tests {
         };
 
         let session = mrtweb_obs::testkit::capture();
+        // Sibling tests encode into the same process-global tracer, so
+        // count only this thread's encodes (the gateway encodes on the
+        // calling thread). A CRC reject for session `u64::MAX` never
+        // happens, so it marks this thread unambiguously.
+        mrtweb_obs::emit(mrtweb_obs::EventKind::CrcReject, u64::MAX, 0);
         let (miss_srv, hit0) = gw.prepare_edge(&req).unwrap();
         let (hit_srv, hit1) = gw.prepare_edge(&req).unwrap();
         let trace = session.finish();
         assert!(!hit0, "first request must miss");
         assert!(hit1, "second request must hit");
+        let me = trace
+            .events
+            .iter()
+            .find(|e| e.kind == mrtweb_obs::EventKind::CrcReject && e.a == u64::MAX)
+            .map(|e| e.thread);
         let encodes = trace
             .events
             .iter()
-            .filter(|e| e.kind == mrtweb_obs::EventKind::EncodeSpan)
+            .filter(|e| e.kind == mrtweb_obs::EventKind::EncodeSpan && Some(e.thread) == me)
             .count();
         assert_eq!(encodes, 1, "one document, one encode — hits re-frame");
 
-        // A hit serves byte-identical frames to the miss that cooked it.
+        // A hit hands out the very server its miss framed…
+        assert!(
+            Arc::ptr_eq(&miss_srv, &hit_srv),
+            "a hit shares the miss's frames"
+        );
+        // …so it serves byte-identical frames to the miss that cooked it.
         assert_eq!(miss_srv.header(), hit_srv.header());
         for i in 0..miss_srv.header().n {
             assert_eq!(miss_srv.frame_bytes(i), hit_srv.frame_bytes(i));
@@ -598,7 +551,7 @@ mod tests {
 
         // And the hit transfers the same document end to end.
         let report = run_transfer(
-            Arc::try_unwrap(hit_srv).unwrap(),
+            hit_srv,
             &TransferConfig {
                 alpha: 0.2,
                 seed: 7,
@@ -608,45 +561,6 @@ mod tests {
         .unwrap();
         assert!(report.completed);
         assert!(String::from_utf8_lossy(&report.payload).contains("mobile wireless browsing"));
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn edge_eviction_invalidates_prepared_transmissions() {
-        let dir = temp_dir("invalidate");
-        let store = Arc::new(DocumentStore::new(8));
-        store.put(
-            "http://site/paper",
-            Document::parse_xml(
-                "<document><title>Paper</title>\
-                 <section><title>Hot</title>\
-                 <paragraph>mobile wireless browsing content</paragraph></section>\
-                 </document>",
-            )
-            .unwrap(),
-        );
-        let edge = Arc::new(EdgeCache::new(&dir, 1 << 20).unwrap());
-        let gw = Gateway::new(store).with_edge(Arc::clone(&edge));
-        let req = Request {
-            packet_size: 32,
-            ..Request::new("http://site/paper", "mobile wireless")
-        };
-
-        // Populate both caches: the edge blob and a prepared entry.
-        gw.prepare_edge(&req).unwrap();
-        let first = gw.prepare_shared(&req).unwrap();
-        let again = gw.prepare_shared(&req).unwrap();
-        assert!(Arc::ptr_eq(&first, &again), "prepared entry is cached");
-
-        // Evict the document from the edge cache. The document in the
-        // store is unchanged, so before the edge-eviction sync this
-        // would keep hitting on pointer identity — the regression.
-        edge.remove(&EdgeKey::of(&req));
-        let fresh = gw.prepare_shared(&req).unwrap();
-        assert!(
-            !Arc::ptr_eq(&first, &fresh),
-            "an edge-evicted document must drop its prepared transmission"
-        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -670,7 +584,7 @@ mod tests {
 
     fn transfer_text(srv: Arc<LiveServer>) -> String {
         let report = run_transfer(
-            Arc::try_unwrap(srv).unwrap(),
+            srv,
             &TransferConfig {
                 alpha: 0.0,
                 ..Default::default()
@@ -688,7 +602,7 @@ mod tests {
             packet_size: 32,
             ..Request::new("http://site/paper", "mobile wireless")
         };
-        let (_, hit) = gw.prepare_edge(&req).unwrap();
+        let (first, hit) = gw.prepare_edge(&req).unwrap();
         assert!(!hit);
         gw.store().put(
             "http://site/paper",
@@ -704,10 +618,16 @@ mod tests {
         // next request must miss and re-cook from the new one.
         let (srv, hit) = gw.prepare_edge(&req).unwrap();
         assert!(!hit, "a replaced document must not serve from the edge");
+        assert!(
+            !Arc::ptr_eq(&first, &srv),
+            "a replaced document is re-framed"
+        );
+        let recooked = Arc::clone(&srv);
         assert!(transfer_text(srv).contains("replacement content"));
         // And the re-cooked blob is a valid hit again.
         let (srv, hit) = gw.prepare_edge(&req).unwrap();
         assert!(hit);
+        assert!(Arc::ptr_eq(&recooked, &srv));
         assert!(transfer_text(srv).contains("replacement content"));
         std::fs::remove_dir_all(&dir).unwrap();
         drop(edge);

@@ -22,7 +22,8 @@
 //!   [`mrtweb_transport::broadcast::BroadcastDoc`] with zero decode or
 //!   re-encode (the blob's records *are* the carousel's frames);
 //! * [`edge`] — the base station's bounded, disk-backed cache of
-//!   cooked blobs: hits re-frame stored packets with zero codec work;
+//!   cooked blobs: a hit shares the transmission framed at admission,
+//!   with zero codec work and no copy;
 //! * [`evict`] — the cache's IC-aware eviction planner (trim low-IC
 //!   parity first, pin hot clear-text prefixes, segmented LRU);
 //! * [`migrate`] — the CRC-framed cell-to-cell migration record that

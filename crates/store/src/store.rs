@@ -68,7 +68,8 @@ pub struct DocumentStore {
     docs: RwLock<HashMap<String, StoredDoc>>,
     pipeline: ScPipeline,
     sc_capacity: usize,
-    stats: RwLock<CacheStats>,
+    sc_hits: AtomicU64,
+    sc_misses: AtomicU64,
     /// Source of [`StoredDoc::generation`] values.
     next_generation: AtomicU64,
 }
@@ -81,7 +82,8 @@ impl DocumentStore {
             docs: RwLock::new(HashMap::new()),
             pipeline: ScPipeline::default(),
             sc_capacity,
-            stats: RwLock::new(CacheStats::default()),
+            sc_hits: AtomicU64::new(0),
+            sc_misses: AtomicU64::new(0),
             next_generation: AtomicU64::new(0),
         }
     }
@@ -167,7 +169,13 @@ impl DocumentStore {
 
     /// Cache statistics so far.
     pub fn stats(&self) -> CacheStats {
-        *self.stats.read()
+        CacheStats {
+            // ORDERING: monitoring counters — each total is
+            // independently exact; a torn snapshot only skews one
+            // report line.
+            sc_hits: self.sc_hits.load(Ordering::Relaxed),
+            sc_misses: self.sc_misses.load(Ordering::Relaxed),
+        }
     }
 
     /// The structural characteristic of `url` under `query`, cached per
@@ -179,23 +187,42 @@ impl DocumentStore {
         url: &str,
         query: &Query,
     ) -> Option<Arc<StructuralCharacteristic>> {
+        self.ranked_document(url, query).map(|(_, _, sc)| sc)
+    }
+
+    /// The document at `url`, its generation, and its structural
+    /// characteristic under `query` (cached per canonical query), all
+    /// of one stored version even against a concurrent `put`: a
+    /// characteristic ranked from a replaced version is returned with
+    /// that version but never cached under its successor.
+    ///
+    /// Returns `None` for unknown URLs.
+    pub fn ranked_document(
+        &self,
+        url: &str,
+        query: &Query,
+    ) -> Option<(Arc<Document>, u64, Arc<StructuralCharacteristic>)> {
         let key = canonical_query_key(query);
         // Fast path: read lock, cache hit.
-        {
+        let (document, generation, index) = {
             let docs = self.docs.read();
             let stored = docs.get(url)?;
+            let document = Arc::clone(&stored.document);
             if let Some(sc) = stored.sc_cache.get(&key) {
-                self.stats.write().sc_hits += 1;
-                return Some(Arc::clone(sc));
+                // ORDERING: monitoring tally only.
+                self.sc_hits.fetch_add(1, Ordering::Relaxed);
+                return Some((document, stored.generation, Arc::clone(sc)));
             }
-        }
-        // Slow path: compute outside any lock, then insert.
-        let index = self.index(url)?;
+            (document, stored.generation, Arc::clone(&stored.index))
+        };
+        // Slow path: compute outside any lock, then insert — only if
+        // the version it was ranked from is still the stored one.
         let sc = Arc::new(StructuralCharacteristic::from_index(&index, Some(query)));
-        self.stats.write().sc_misses += 1;
+        // ORDERING: monitoring tally only.
+        self.sc_misses.fetch_add(1, Ordering::Relaxed);
         if self.sc_capacity > 0 {
             let mut docs = self.docs.write();
-            if let Some(stored) = docs.get_mut(url) {
+            if let Some(stored) = docs.get_mut(url).filter(|s| s.generation == generation) {
                 if !stored.sc_cache.contains_key(&key) {
                     if stored.sc_order.len() >= self.sc_capacity {
                         let evict = stored.sc_order.remove(0);
@@ -206,7 +233,7 @@ impl DocumentStore {
                 }
             }
         }
-        Some(sc)
+        Some((document, generation, sc))
     }
 }
 
@@ -226,6 +253,21 @@ mod tests {
             "<document><paragraph>{text}</paragraph></document>"
         ))
         .unwrap()
+    }
+
+    /// Two versions of one URL whose rankings under "mobile" differ.
+    fn two_versions() -> [Document; 2] {
+        let xml = |a: &str, b: &str| {
+            Document::parse_xml(&format!(
+                "<document><section><paragraph>{a}</paragraph></section>\
+                 <section><paragraph>{b}</paragraph></section></document>"
+            ))
+            .unwrap()
+        };
+        [
+            xml("mobile web browsing", "database storage"),
+            xml("database storage", "mobile mobile browsing"),
+        ]
     }
 
     fn store_with_doc() -> DocumentStore {
@@ -323,6 +365,61 @@ mod tests {
         let s = store_with_doc();
         let q = Query::parse("mobile", s.pipeline());
         assert!(s.structural_characteristic("ghost", &q).is_none());
+    }
+
+    #[test]
+    fn a_put_racing_a_ranking_never_caches_the_replaced_ranking() {
+        let s = DocumentStore::new(2);
+        let versions = two_versions();
+        let q = Query::parse("mobile", s.pipeline());
+        let ranking: Vec<StructuralCharacteristic> = versions
+            .iter()
+            .map(|d| StructuralCharacteristic::from_index(&s.pipeline().run(d), Some(&q)))
+            .collect();
+        assert_ne!(ranking[0], ranking[1]);
+        // No hook can pause a ranking between its index read and its
+        // cache insert, so both sides start together from a barrier and
+        // the race repeats until the window is hit.
+        let start = std::sync::Barrier::new(2);
+        for round in 0..2000 {
+            s.put("u", versions[0].clone());
+            std::thread::scope(|scope| {
+                scope.spawn(|| {
+                    start.wait();
+                    s.structural_characteristic("u", &q)
+                });
+                scope.spawn(|| {
+                    start.wait();
+                    s.put("u", versions[1].clone())
+                });
+            });
+            let cached = s.structural_characteristic("u", &q).unwrap();
+            assert!(
+                *cached == ranking[1],
+                "round {round}: the cached ranking is not the installed document's"
+            );
+        }
+    }
+
+    #[test]
+    fn ranked_document_returns_one_version() {
+        let s = Arc::new(DocumentStore::new(2));
+        let versions = two_versions();
+        s.put("u", versions[0].clone());
+        let q = Query::parse("mobile", s.pipeline());
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                for i in 0..400 {
+                    s.put("u", versions[i % 2].clone());
+                }
+            });
+            for _ in 0..400 {
+                let (doc, generation, sc) = s.ranked_document("u", &q).unwrap();
+                let want = StructuralCharacteristic::from_index(&s.pipeline().run(&doc), Some(&q));
+                assert!(*sc == want, "SC of another version than the document");
+                assert!(s.generation("u").unwrap() >= generation);
+            }
+        });
     }
 
     #[test]

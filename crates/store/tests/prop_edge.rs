@@ -11,7 +11,7 @@ use mrtweb_docmodel::lod::Lod;
 use mrtweb_store::codec::encode_dispersed;
 use mrtweb_store::edge::{EdgeCache, EdgeKey};
 use mrtweb_store::migrate::{decode_record, encode_record, MigrationRecord};
-use mrtweb_transport::live::{DocumentHeader, LiveClient, LiveServer};
+use mrtweb_transport::live::{DocumentHeader, LiveClient};
 use mrtweb_transport::plan::{TransmissionPlan, UnitSlice};
 
 /// A scratch directory unique to this process and call site.
@@ -61,8 +61,7 @@ fn entry(
 
 /// Reconstructs the payload from whatever the cache serves for `key`.
 fn reconstruct(cache: &EdgeCache, key: &EdgeKey) -> Option<Vec<u8>> {
-    let hit = cache.serve(key)?;
-    let server = LiveServer::from_cooked(hit.header, hit.packets).ok()?;
+    let server = cache.serve(key)?.server;
     let mut client = LiveClient::new(server.header().clone()).ok()?;
     for f in 0..server.header().n {
         if client.document_bytes().is_some() {

@@ -27,8 +27,9 @@ use mrtweb_channel::link::Link;
 use mrtweb_content::sc::{Measure, StructuralCharacteristic};
 use mrtweb_docmodel::document::Document;
 use mrtweb_docmodel::lod::Lod;
+use mrtweb_erasure::crc::crc16;
 use mrtweb_erasure::ida::Codec;
-use mrtweb_erasure::packet::Frame;
+use mrtweb_erasure::packet::{Frame, FRAME_OVERHEAD};
 use mrtweb_erasure::par::{default_threads, encode_into_parallel};
 use mrtweb_erasure::Error;
 use mrtweb_obs::{emit, EventKind, Span};
@@ -68,12 +69,26 @@ pub enum ClientEvent {
     Reconstructed,
 }
 
+/// Frames `payload` as cooked packet `sequence` in one allocation:
+/// `seq (2B BE) | payload | crc16 (2B BE)`, byte-identical to
+/// [`Frame::to_wire`] without its intermediate buffers.
+#[must_use]
+pub fn frame_wire(sequence: u16, payload: &[u8]) -> Vec<u8> {
+    let mut wire = Vec::with_capacity(payload.len() + FRAME_OVERHEAD);
+    wire.extend_from_slice(&sequence.to_be_bytes());
+    wire.extend_from_slice(payload);
+    let crc = crc16(&wire);
+    wire.extend_from_slice(&crc.to_be_bytes());
+    wire
+}
+
 /// The server side: owns the encoded document.
 ///
 /// All `N` cooked packets are encoded once at construction (redundancy
 /// rows fanned across threads) and framed once, so retransmission
 /// rounds replay cached wire bytes instead of redoing GF(2⁸) math and
-/// CRCs per request.
+/// CRCs per request. The frames never change after construction, so
+/// one server behind an `Arc` serves any number of sessions.
 #[derive(Debug)]
 pub struct LiveServer {
     header: DocumentHeader,
@@ -82,6 +97,8 @@ pub struct LiveServer {
     /// that trimmed parity, or a blob record that rotted at rest);
     /// serving routes skip it and any `M` of the rest still suffice.
     wire_frames: Vec<Option<Vec<u8>>>,
+    /// How many `wire_frames` are present.
+    held: usize,
 }
 
 impl LiveServer {
@@ -110,21 +127,14 @@ impl LiveServer {
         let codec = Codec::shared(m, n, packet_size)?;
         let mut cooked = Vec::new();
         encode_into_parallel(&codec, &payload, &mut cooked, default_threads());
-        let wire_frames = cooked
-            .chunks_exact(packet_size)
-            .enumerate()
-            .map(|(i, payload)| Some(Frame::new(i as u16, payload.to_vec()).to_wire().to_vec()))
-            .collect();
-        Ok(LiveServer {
-            header: DocumentHeader {
-                doc_len: payload.len(),
-                m,
-                n,
-                packet_size,
-                plan,
-            },
-            wire_frames,
-        })
+        let header = DocumentHeader {
+            doc_len: payload.len(),
+            m,
+            n,
+            packet_size,
+            plan,
+        };
+        LiveServer::from_payloads(header, cooked.chunks_exact(packet_size).map(Some))
     }
 
     /// Like [`LiveServer::new`], but grows the packet size (from
@@ -161,50 +171,112 @@ impl LiveServer {
     /// cache serving the at-rest dispersed blob. No codec is
     /// constructed and no [`EventKind::EncodeSpan`] is emitted: the
     /// packets were encoded exactly once when the blob was cooked, and
-    /// this path only re-frames them for the wire. `None` entries mark
+    /// this path only frames them for the wire. `None` entries mark
     /// packets the cache no longer holds intact (trimmed parity, at-rest
     /// rot); the server skips those sequences and the client
     /// reconstructs from any `M` of the rest.
     ///
     /// # Errors
     ///
-    /// [`Error::InvalidParameters`] if `cooked.len() != header.n`, any
-    /// present packet is not exactly `header.packet_size` bytes, or
-    /// fewer than `header.m` packets are present.
+    /// Same as [`LiveServer::from_payloads`].
+    // The owned packets are this constructor's long-standing contract;
+    // framing only reads them.
+    #[allow(clippy::needless_pass_by_value)]
     pub fn from_cooked(
         header: DocumentHeader,
         cooked: Vec<Option<Vec<u8>>>,
+    ) -> Result<Self, Error> {
+        LiveServer::from_payloads(header, cooked.iter().map(Option::as_deref))
+    }
+
+    /// Like [`LiveServer::from_cooked`], but frames borrowed payloads
+    /// (cooked packet `i` is the `i`-th item), so a caller holding the
+    /// packets in a larger buffer — a dispersed blob — copies each one
+    /// exactly once, into its wire frame.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::InvalidParameters`] if there are not exactly `header.n`
+    /// items or any present payload is not exactly `header.packet_size`
+    /// bytes; [`Error::NotEnoughPackets`] if fewer than `header.m` are
+    /// present.
+    pub fn from_payloads<'a>(
+        header: DocumentHeader,
+        payloads: impl IntoIterator<Item = Option<&'a [u8]>>,
     ) -> Result<Self, Error> {
         let invalid = Error::InvalidParameters {
             raw: header.m,
             cooked: header.n,
         };
-        if cooked.len() != header.n || header.packet_size == 0 {
+        if header.packet_size == 0 {
             return Err(invalid);
         }
-        let present = cooked.iter().flatten().count();
-        if present < header.m {
+        let mut wire_frames = Vec::with_capacity(header.n);
+        for (i, payload) in payloads.into_iter().enumerate() {
+            if i >= header.n || payload.is_some_and(|p| p.len() != header.packet_size) {
+                return Err(invalid);
+            }
+            wire_frames.push(payload.map(|p| frame_wire(i as u16, p)));
+        }
+        if wire_frames.len() != header.n {
+            return Err(invalid);
+        }
+        let held = wire_frames.iter().flatten().count();
+        if held < header.m {
             return Err(Error::NotEnoughPackets {
-                have: present,
+                have: held,
                 need: header.m,
             });
         }
-        if cooked
-            .iter()
-            .flatten()
-            .any(|p| p.len() != header.packet_size)
-        {
-            return Err(invalid);
-        }
-        let wire_frames = cooked
-            .into_iter()
-            .enumerate()
-            .map(|(i, payload)| payload.map(|p| Frame::new(i as u16, p).to_wire().to_vec()))
-            .collect();
         Ok(LiveServer {
             header,
             wire_frames,
+            held,
         })
+    }
+
+    /// How many cooked packets this server holds and can serve.
+    pub fn held(&self) -> usize {
+        self.held
+    }
+
+    /// Drops every held frame whose index fails `keep` and returns how
+    /// many were dropped — how an edge cache trims parity under budget
+    /// pressure. Sessions already serving from `this` keep the frames
+    /// they hold: a shared server is copied (kept frames only) and
+    /// `this` repointed at the copy; a server with no other holder is
+    /// trimmed in place.
+    pub fn retain_frames(this: &mut Arc<Self>, keep: impl Fn(usize) -> bool) -> usize {
+        let dropped = this
+            .wire_frames
+            .iter()
+            .enumerate()
+            .filter(|(i, f)| f.is_some() && !keep(*i))
+            .count();
+        if dropped == 0 {
+            return 0;
+        }
+        if let Some(server) = Arc::get_mut(this) {
+            for (i, slot) in server.wire_frames.iter_mut().enumerate() {
+                if !keep(i) {
+                    *slot = None;
+                }
+            }
+            server.held -= dropped;
+        } else {
+            let wire_frames = this
+                .wire_frames
+                .iter()
+                .enumerate()
+                .map(|(i, f)| f.as_ref().filter(|_| keep(i)).cloned())
+                .collect();
+            *this = Arc::new(LiveServer {
+                header: this.header.clone(),
+                wire_frames,
+                held: this.held - dropped,
+            });
+        }
+        dropped
     }
 
     /// The control-channel header describing this transmission.
@@ -508,15 +580,19 @@ impl Default for TransferConfig {
 /// cloning it to the client before the lossy data stream starts), as a
 /// real deployment would ship the structural characteristic first.
 ///
+/// The server is taken owned or shared: a handle another session (or an
+/// edge cache) also holds serves just the same.
+///
 /// # Errors
 ///
 /// [`TransportError::Codec`] if the header does not describe a valid
 /// codec; [`TransportError::ServerPanicked`] if the server thread dies
 /// mid-transfer.
 pub fn run_transfer(
-    server: LiveServer,
+    server: impl Into<Arc<LiveServer>>,
     config: &TransferConfig,
 ) -> Result<TransferReport, TransportError> {
+    let server = server.into();
     // A rendezvous channel models a link with no in-flight buffering:
     // the server hands over one delivery at a time, so a "stop" takes
     // effect after at most one further frame. Zero capacity also makes
@@ -909,6 +985,40 @@ mod tests {
             Err(TransportError::FrameOutOfRange { .. })
         ));
         assert!(srv.frame_checked(0).is_ok());
+    }
+
+    #[test]
+    fn retaining_frames_copies_only_a_shared_server() {
+        let mut srv = Arc::new(server(Lod::Paragraph, 2.0));
+        let (m, n) = (srv.header().m, srv.header().n);
+        assert!(n > m + 1);
+        let frames: Vec<Vec<u8>> = (0..n).map(|i| srv.try_frame(i).unwrap()).collect();
+
+        // Sole owner: trimmed in place.
+        let before = Arc::as_ptr(&srv);
+        assert_eq!(LiveServer::retain_frames(&mut srv, |i| i < n - 1), 1);
+        assert_eq!(Arc::as_ptr(&srv), before);
+        assert_eq!(srv.held(), n - 1);
+        assert!(matches!(
+            srv.frame_checked(n - 1),
+            Err(TransportError::FrameNotHeld { .. })
+        ));
+        // Nothing to drop: no change, no copy.
+        assert_eq!(LiveServer::retain_frames(&mut srv, |i| i < n - 1), 0);
+        assert_eq!(Arc::as_ptr(&srv), before);
+
+        // Shared: the other holder keeps its frames; `srv` moves to a
+        // trimmed copy.
+        let session = Arc::clone(&srv);
+        assert_eq!(LiveServer::retain_frames(&mut srv, |i| i < m), n - 1 - m);
+        assert!(!Arc::ptr_eq(&srv, &session));
+        assert_eq!((srv.held(), session.held()), (m, n - 1));
+        for (i, frame) in frames.iter().enumerate() {
+            let held = if i < m { Some(&frame[..]) } else { None };
+            assert_eq!(srv.frame_bytes(i), held);
+            assert_eq!(session.frame_bytes(i).is_some(), i < n - 1);
+        }
+        assert_eq!(srv.header(), session.header());
     }
 
     #[test]

@@ -12,7 +12,7 @@ use mrtweb_docmodel::document::Document;
 use mrtweb_docmodel::lod::Lod;
 use mrtweb_erasure::packet::Frame;
 use mrtweb_textproc::pipeline::ScPipeline;
-use mrtweb_transport::live::{ClientEvent, LiveClient, LiveServer};
+use mrtweb_transport::live::{frame_wire, ClientEvent, DocumentHeader, LiveClient, LiveServer};
 use mrtweb_transport::plan::{plan_document, TransmissionPlan, UnitSlice};
 use mrtweb_transport::receiver::ReceiverState;
 use mrtweb_transport::session::{download, CacheMode, Outcome, Relevance, SessionConfig};
@@ -247,5 +247,54 @@ proptest! {
             client.reset();
             prop_assert_eq!(client.document_bytes(), None);
         }
+    }
+}
+
+proptest! {
+    /// The one-allocation framing is byte-identical to `Frame::to_wire`
+    /// for every sequence number, packet size and payload.
+    #[test]
+    fn frame_wire_matches_frame_to_wire(
+        sequence in any::<u16>(),
+        payload in proptest::collection::vec(any::<u8>(), 0..1500),
+    ) {
+        let want = Frame::new(sequence, payload.clone()).to_wire();
+        prop_assert_eq!(&frame_wire(sequence, &payload)[..], &want[..]);
+    }
+
+    /// A server built from borrowed payloads holds, at every index, the
+    /// frame `Frame::new(i, p).to_wire()` — and nothing where a payload
+    /// is absent.
+    #[test]
+    fn from_payloads_frames_like_frame_to_wire(
+        packet_size in 1usize..300,
+        m in 1usize..12,
+        extra in 0usize..8,
+        absent_mask in any::<u32>(),
+        seed in any::<u8>(),
+    ) {
+        let n = m + extra;
+        let payloads: Vec<Vec<u8>> = (0..n)
+            .map(|i| (0..packet_size).map(|j| (i * 31 + j) as u8 ^ seed).collect())
+            .collect();
+        // Only parity may be absent, so any mask leaves `m` present.
+        let present = |i: usize| i < m || absent_mask & (1 << (i % 32)) == 0;
+        let header = DocumentHeader {
+            doc_len: m * packet_size,
+            m,
+            n,
+            packet_size,
+            plan: TransmissionPlan::sequential(vec![UnitSlice::new("doc", m * packet_size, 1.0)]),
+        };
+        let srv = LiveServer::from_payloads(
+            header,
+            payloads.iter().enumerate().map(|(i, p)| present(i).then_some(&p[..])),
+        )
+        .unwrap();
+        for (i, p) in payloads.iter().enumerate() {
+            let want = present(i).then(|| Frame::new(i as u16, p.clone()).to_wire());
+            prop_assert_eq!(srv.frame_bytes(i), want.as_deref());
+        }
+        prop_assert_eq!(srv.held(), (0..n).filter(|&i| present(i)).count());
     }
 }

@@ -4,8 +4,8 @@
 //! Figure 1 implies: a [`mrtweb_store::gateway::Gateway`] fronting each
 //! base station keeps cooked MRTB dispersed blobs in a bounded,
 //! disk-backed [`mrtweb_store::edge::EdgeCache`], so a repeat request
-//! re-frames stored packets instead of re-running the slicer, the
-//! ranker, and the GF(2⁸) codec. Two drivers:
+//! replays frames built once at admission instead of re-running the
+//! slicer, the ranker, and the GF(2⁸) codec. Two drivers:
 //!
 //! * [`run`] — one cell under a request stream: measures cache-hit vs
 //!   encode-on-miss latency and proves the zero-re-encode claim (the
